@@ -820,9 +820,9 @@ impl FaultCampaign {
         };
         let compiled = self.sys.compile(w, self.cfg.heuristic).map_err(fail)?;
         let out = compiled
-            .simulate_with(&SimOptions::new(self.cfg.model).no_validate().keep_memory())
+            .simulate_with(&SimOptions::new(self.cfg.model).no_validate())
             .map_err(fail)?;
-        let (stats, mem) = (out.stats, out.memory.expect("memory was requested"));
+        let (stats, mem) = (out.stats, out.memory);
         let mut used_pes: Vec<u32> = compiled.placed.pe_of.iter().map(|pe| pe.0).collect();
         used_pes.sort_unstable();
         used_pes.dedup();
@@ -866,8 +866,7 @@ impl FaultCampaign {
         let inj_opts = SimOptions::new(self.cfg.model)
             .fault(FaultConfig::inject(kind))
             .stall_window(self.cfg.stall_window)
-            .no_validate()
-            .keep_memory();
+            .no_validate();
         let budget = golden_cycles
             .saturating_mul(self.cfg.budget_factor.max(1))
             .saturating_add(self.cfg.stall_window);
@@ -890,9 +889,8 @@ impl FaultCampaign {
 
         match result {
             Ok(out) => {
-                let (stats, mem) = (out.stats, out.memory.expect("memory was requested"));
-                rec.injected_cycles = Some(stats.cycles);
-                if stats.sinks == g.stats.sinks && mem.words() == g.mem.words() {
+                rec.injected_cycles = Some(out.stats.cycles);
+                if out.stats.sinks == g.stats.sinks && out.memory == g.mem {
                     rec.outcome = OutcomeClass::Masked;
                 } else if kind.is_transient() {
                     // No error signal and wrong outputs: the corruption
@@ -941,17 +939,11 @@ impl FaultCampaign {
                 return;
             }
         };
-        match recompiled.simulate_with(&SimOptions::new(self.cfg.model).no_validate().keep_memory())
-        {
-            Ok(out)
-                if out.stats.sinks == g.stats.sinks
-                    && out.memory.as_ref().expect("memory was requested").words()
-                        == g.mem.words() =>
-            {
-                let stats = out.stats;
+        match recompiled.simulate_with(&SimOptions::new(self.cfg.model).no_validate()) {
+            Ok(out) if out.stats.sinks == g.stats.sinks && out.memory == g.mem => {
                 rec.outcome = OutcomeClass::Recovered;
                 rec.recovery = RecoveryOutcome::Replaced;
-                rec.recovered_cycles = Some(stats.cycles);
+                rec.recovered_cycles = Some(out.stats.cycles);
                 rec.downgrades = criticality_downgrades(
                     &g.workload,
                     &self.sys.fabric,

@@ -64,7 +64,7 @@ pub use shard::{Coordinator, Lease, ShardCtx, ShardOptions, ShardState, WorkerSt
 use nupea_pnr::{pnr, PlaceConfig, PnrConfig};
 use nupea_sim::{Engine, MemParams, SimConfig};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// System-level configuration: the fabric plus simulator knobs.
 ///
@@ -318,11 +318,11 @@ impl SystemConfigBuilder {
 /// let w = sparse::spmv(Scale::Test, 1);
 /// let sys = SystemConfig::monaco_12x12();
 /// let compiled = sys.compile(&w, Heuristic::CriticalityAware)?;
-/// let out = compiled.simulate_with(
-///     &SimOptions::new(MemoryModel::Nupea).trace().keep_memory(),
-/// )?;
-/// assert!(out.stats.cycles > 0);
-/// assert!(out.trace.is_some() && out.memory.is_some());
+/// let out = compiled.simulate_with(&SimOptions::new(MemoryModel::Nupea).trace())?;
+/// assert!(out.stats.cycles > 0 && out.trace.is_some());
+/// // The final memory image always comes back, storing only the words
+/// // the run allocated or wrote.
+/// assert!(out.memory.stored() <= w.mem.used());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -362,9 +362,6 @@ pub struct SimOptions {
     /// run, not against the reference — a mismatch is an SDC, not a
     /// validation error.
     pub validate: bool,
-    /// Return the final memory image in [`SimOutcome::memory`] (for
-    /// differential comparison against a golden run).
-    pub keep_memory: bool,
 }
 
 impl SimOptions {
@@ -381,7 +378,6 @@ impl SimOptions {
             stall_window: None,
             trace: false,
             validate: true,
-            keep_memory: false,
         }
     }
 
@@ -433,17 +429,11 @@ impl SimOptions {
         self.validate = false;
         self
     }
-
-    /// Return the final memory image in [`SimOutcome::memory`].
-    #[must_use]
-    pub fn keep_memory(mut self) -> Self {
-        self.keep_memory = true;
-        self
-    }
 }
 
-/// Everything one simulation run produced. Optional artifacts are present
-/// exactly when the corresponding [`SimOptions`] flag requested them.
+/// Everything one simulation run produced. The trace is present exactly
+/// when [`SimOptions::trace`] requested it; the final memory image always
+/// is.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct SimOutcome {
@@ -451,8 +441,10 @@ pub struct SimOutcome {
     pub stats: RunStats,
     /// The recorded event trace, when [`SimOptions::trace`] was set.
     pub trace: Option<TraceBuffer>,
-    /// The final memory image, when [`SimOptions::keep_memory`] was set.
-    pub memory: Option<SimMemory>,
+    /// The final memory image, for differential comparison against a
+    /// golden run. It stores only the words the run allocated or wrote
+    /// (see [`SimMemory`]), not the whole 8 MB capacity.
+    pub memory: SimMemory,
 }
 
 /// A compiled workload: placement, routing, timing, plus shared handles to
@@ -467,15 +459,6 @@ pub struct Compiled {
     pub heuristic: Heuristic,
     workload: Arc<Workload>,
     sys: Arc<SystemConfig>,
-    /// Initial memory image, generated lazily once per artifact and
-    /// copied per run (shared across clones of the artifact). The
-    /// generator is deterministic, and regenerating the multi-megabyte
-    /// input image dominated short simulations.
-    init_mem: Arc<OnceLock<SimMemory>>,
-    /// Recycled run buffers: a fresh multi-megabyte allocation is
-    /// page-fault-bound, so finished (unkept) memory images are pooled
-    /// and re-imaged with a plain memcpy on the next run.
-    scratch: Arc<Mutex<Vec<SimMemory>>>,
 }
 
 impl Compiled {
@@ -487,11 +470,6 @@ impl Compiled {
     /// The system configuration this artifact was compiled for.
     pub fn system(&self) -> &SystemConfig {
         &self.sys
-    }
-
-    /// The cached initial memory image (built on first use).
-    fn init_mem(&self) -> &SimMemory {
-        self.init_mem.get_or_init(|| self.workload.fresh_mem())
     }
 
     /// Simulate under a memory model, validating results against the
@@ -509,8 +487,7 @@ impl Compiled {
 
     /// Simulate one run under explicit [`SimOptions`] — the single
     /// simulation entry point; every knob (model, tracing, budgets,
-    /// perturbation, fault arming, validation, memory capture) rides in
-    /// `opts`.
+    /// perturbation, fault arming, validation) rides in `opts`.
     ///
     /// # Errors
     ///
@@ -537,48 +514,17 @@ impl Compiled {
         if opts.trace && !cfg.trace.enabled {
             cfg.trace = TraceConfig::on();
         }
-        cfg.validate()?;
-        let init = self.init_mem();
-        let mut mem = match self.scratch.lock().ok().and_then(|mut pool| pool.pop()) {
-            Some(mut recycled) if recycled.capacity() == init.capacity() => {
-                recycled.copy_from(init);
-                recycled
-            }
-            _ => init.clone(),
-        };
-        let mut engine = Engine::new(
-            self.workload.kernel.dfg(),
+        let mut out = run_engine(
+            &self.workload,
             &sys.fabric,
             &self.placed.pe_of,
             cfg,
-        );
-        for (pid, v) in self.workload.kernel.bindings(&[]) {
-            engine.bind(pid, v);
+            opts.validate,
+        )?;
+        if !opts.trace {
+            out.trace = None;
         }
-        let stats = engine.run(&mut mem)?;
-        let trace = if opts.trace {
-            engine.take_trace()
-        } else {
-            None
-        };
-        if opts.validate {
-            self.workload.validate(&mem, &stats.sinks)?;
-        }
-        let memory = if opts.keep_memory {
-            Some(mem)
-        } else {
-            if let Ok(mut pool) = self.scratch.lock() {
-                if pool.len() < 4 {
-                    pool.push(mem);
-                }
-            }
-            None
-        };
-        Ok(SimOutcome {
-            stats,
-            trace,
-            memory,
-        })
+        Ok(out)
     }
 
     /// Serialize to a bitstream (see [`nupea_pnr::bitstream`]) for caching
@@ -719,8 +665,6 @@ fn compile_impl(
             heuristic,
             workload: Arc::clone(workload),
             sys: Arc::clone(sys),
-            init_mem: Arc::new(OnceLock::new()),
-            scratch: Arc::new(Mutex::new(Vec::new())),
         }),
         None => Err(last_err.expect("at least one attempt ran").into()),
     }
@@ -747,41 +691,31 @@ fn sim_config(sys: &SystemConfig, model: MemoryModel, divider_src: u32) -> SimCo
     cfg
 }
 
-/// Shared simulate path: engine setup, run, reference validation.
-/// `max_cycles` overrides the default runaway cap when set; `want_trace`
-/// forces tracing on (keeping the configured capacity when the system
-/// already enabled it) and returns the recorded buffer.
-#[allow(clippy::too_many_arguments)] // private plumbing behind thin facades
-fn simulate_impl(
+/// Shared engine-run path: a fresh copy of the workload's memory image,
+/// engine setup and bindings, the run, and (when `validate` is set) the
+/// reference check. The outcome carries whatever trace `cfg` recorded.
+fn run_engine(
     workload: &Workload,
-    sys: &SystemConfig,
+    fabric: &Fabric,
     pe_of: &[PeId],
-    divider_src: u32,
-    model: MemoryModel,
-    max_cycles: Option<u64>,
-    want_trace: bool,
-) -> Result<(RunStats, Option<TraceBuffer>), PipelineError> {
-    let mut cfg = sim_config(sys, model, divider_src);
-    if let Some(cap) = max_cycles {
-        cfg.max_cycles = cap;
-    }
-    if want_trace && !cfg.trace.enabled {
-        cfg.trace = TraceConfig::on();
-    }
+    cfg: SimConfig,
+    validate: bool,
+) -> Result<SimOutcome, PipelineError> {
     cfg.validate()?;
-    let mut mem = workload.fresh_mem();
-    let mut engine = Engine::new(workload.kernel.dfg(), &sys.fabric, pe_of, cfg);
+    let mut memory = workload.mem.clone();
+    let mut engine = Engine::new(workload.kernel.dfg(), fabric, pe_of, cfg);
     for (pid, v) in workload.kernel.bindings(&[]) {
         engine.bind(pid, v);
     }
-    let stats = engine.run(&mut mem)?;
-    let trace = if want_trace {
-        engine.take_trace()
-    } else {
-        None
-    };
-    workload.validate(&mem, &stats.sinks)?;
-    Ok((stats, trace))
+    let stats = engine.run(&mut memory)?;
+    if validate {
+        workload.validate(&memory, &stats.sinks)?;
+    }
+    Ok(SimOutcome {
+        stats,
+        trace: engine.take_trace(),
+        memory,
+    })
 }
 
 /// Results of a multi-region (staged) run.
@@ -885,7 +819,8 @@ pub fn simulate_bitstream(
             reason: "bitstream does not match this workload/fabric".into(),
         });
     }
-    simulate_impl(workload, sys, &bs.pe_of, bs.divider, model, None, false).map(|(stats, _)| stats)
+    let cfg = sim_config(sys, model, bs.divider);
+    run_engine(workload, &sys.fabric, &bs.pe_of, cfg, true).map(|out| out.stats)
 }
 
 /// Auto-parallelization (§5): grow the parallelism degree until PnR fails,
@@ -1072,25 +1007,26 @@ mod tests {
         let c = sys.compile(&w, Heuristic::CriticalityAware).unwrap();
         let plain = c.simulate(MemoryModel::Nupea).unwrap();
 
-        // Defaults agree with the thin wrapper, artifacts absent.
+        // Defaults agree with the thin wrapper: no trace, and a final
+        // memory image that passes the reference check.
         let out = c
             .simulate_with(&SimOptions::new(MemoryModel::Nupea))
             .unwrap();
         assert_eq!(out.stats.cycles, plain.cycles);
-        assert!(out.trace.is_none() && out.memory.is_none());
+        assert!(out.trace.is_none());
+        w.validate(&out.memory, &out.stats.sinks).unwrap();
 
-        // Raw differential run: no validation, final memory captured; a
-        // system override with identical knobs changes nothing.
+        // Raw differential run: no validation; a system override with
+        // identical knobs changes nothing, final memory included.
         let raw = c
             .simulate_with(
                 &SimOptions::new(MemoryModel::Nupea)
                     .system(sys.clone())
-                    .no_validate()
-                    .keep_memory(),
+                    .no_validate(),
             )
             .unwrap();
         assert_eq!(raw.stats.cycles, plain.cycles);
-        assert!(raw.memory.is_some());
+        assert_eq!(raw.memory, out.memory);
 
         // A one-cycle budget must hit the cycle limit, as
         // simulate_budgeted did.
@@ -1102,8 +1038,8 @@ mod tests {
             PipelineError::Sim(SimError::CycleLimit { .. })
         ));
 
-        // The cached initial image makes repeat runs identical, not stale:
-        // the second run sees fresh memory, not the first run's output.
+        // Repeat runs are identical, not stale: the second run sees a
+        // fresh image, not the first run's output.
         let again = c.simulate(MemoryModel::Nupea).unwrap();
         assert_eq!(again.cycles, plain.cycles);
         assert_eq!(again.sinks, plain.sinks);

@@ -12,7 +12,9 @@
 //! Parsing uses the repo's own [`nupea::jsonl`] field helpers (flat
 //! objects, string and integer values), keeping the workspace
 //! dependency-free. Unknown fields are ignored; unknown *values* for
-//! known fields are errors.
+//! known fields are errors, and so is a numeric field that is not a
+//! non-negative integer in range (`-5`, `1.5`, `"7"`). A `null` field
+//! counts as absent.
 
 use nupea::jsonl;
 use nupea::{Heuristic, MemoryModel, Scale, SystemConfig, Workload};
@@ -186,6 +188,18 @@ fn compact(body: &str) -> String {
     out
 }
 
+/// Numeric field `key` of a compact object: `None` when absent or `null`,
+/// an error naming the field when present but not a `T`.
+fn number<T: std::str::FromStr>(line: &str, key: &str) -> Result<Option<T>, String> {
+    match jsonl::field(line, key).filter(|raw| raw != "null") {
+        None => Ok(None),
+        Some(raw) => raw
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("invalid {key}: {raw}")),
+    }
+}
+
 impl ConfigRequest {
     /// Parse a request body.
     ///
@@ -216,23 +230,20 @@ impl ConfigRequest {
             None => Priority::Normal,
             Some(p) => Priority::parse(&p).ok_or_else(|| format!("unknown priority: {p}"))?,
         };
-        let usize_field = |key: &str| -> Option<usize> {
-            jsonl::u64_field(&line, key).and_then(|v| usize::try_from(v).ok())
-        };
         Ok(ConfigRequest {
             workload,
-            par: usize_field("par"),
+            par: number(&line, "par")?,
             scale,
             heuristic,
             model,
-            seed: jsonl::u64_field(&line, "seed"),
-            effort: jsonl::u64_field(&line, "effort").and_then(|v| u32::try_from(v).ok()),
-            fifo_depth: usize_field("fifo_depth"),
-            max_outstanding: usize_field("max_outstanding"),
-            cycle_budget: jsonl::u64_field(&line, "cycle_budget"),
-            retry_factor: jsonl::u64_field(&line, "retry_factor"),
-            injections: jsonl::u64_field(&line, "injections").and_then(|v| u32::try_from(v).ok()),
-            deadline_ms: jsonl::u64_field(&line, "deadline_ms"),
+            seed: number(&line, "seed")?,
+            effort: number(&line, "effort")?,
+            fifo_depth: number(&line, "fifo_depth")?,
+            max_outstanding: number(&line, "max_outstanding")?,
+            cycle_budget: number(&line, "cycle_budget")?,
+            retry_factor: number(&line, "retry_factor")?,
+            injections: number(&line, "injections")?,
+            deadline_ms: number(&line, "deadline_ms")?,
             priority,
             x_chaos: jsonl::string_field(&line, "x_chaos"),
         })
@@ -335,6 +346,24 @@ mod tests {
         );
         let unknown = ConfigRequest::parse("{\"workload\":\"not-a-workload\"}").unwrap();
         assert!(unknown.build().unwrap_err().contains("unknown workload"));
+
+        // A numeric field that is present but malformed is an error naming
+        // it, never silently treated as absent.
+        for (field, value) in [
+            ("deadline_ms", "-5"),
+            ("deadline_ms", "1.5"),
+            ("cycle_budget", "\"100\""),
+            ("seed", "\"7\""),
+            ("effort", "99999999999"),
+            ("par", "\"two\""),
+        ] {
+            let body = format!("{{\"workload\":\"spmv\",\"{field}\":{value}}}");
+            let err = ConfigRequest::parse(&body).unwrap_err();
+            assert!(err.contains(field), "{body}: {err}");
+        }
+        // null still reads as absent.
+        let null = ConfigRequest::parse("{\"workload\":\"spmv\",\"seed\":null}").unwrap();
+        assert_eq!(null.seed, None);
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod tests {
         );
         bind_all(&mut engine, &g, n, src, dst);
         let stats = engine.run(&mut mem_b).unwrap();
-        assert_eq!(mem_a.words(), mem_b.words(), "final memory must agree");
+        assert_eq!(mem_a, mem_b, "final memory must agree");
         assert_eq!(stats.residual_tokens, 0);
     }
 

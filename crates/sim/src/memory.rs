@@ -103,27 +103,31 @@ impl MemParams {
 /// Kernels allocate their arrays here, the simulator executes real loads and
 /// stores against it, and tests compare final contents with reference
 /// implementations.
+///
+/// The address space spans the full configured capacity, but only a prefix
+/// is stored: the words up to the highest allocated or written address.
+/// Every address past that prefix and below capacity reads 0, and a write
+/// there grows the prefix. Negative and past-capacity addresses fault
+/// exactly as they would on a dense store. Equality compares contents:
+/// two memories are equal when their capacities match and every address
+/// reads the same, however many words each happens to store.
 #[derive(Debug, Clone)]
 pub struct SimMemory {
+    /// The stored prefix of the address space.
     words: Vec<i64>,
+    capacity: usize,
     next_free: usize,
     line_words: usize,
-    /// Exclusive upper bound of every address written since construction.
-    /// The backing store starts zeroed, so `words[high_write..]` is
-    /// provably all-zero at all times — [`SimMemory::copy_from`] exploits
-    /// this to restore a recycled buffer by touching only the written
-    /// prefix instead of the full (multi-megabyte) store.
-    high_write: usize,
 }
 
 impl SimMemory {
     /// Create a memory of `params.mem_words` zeroed words.
     pub fn new(params: &MemParams) -> Self {
         SimMemory {
-            words: vec![0; params.mem_words],
+            words: Vec::new(),
+            capacity: params.mem_words,
             next_free: 0,
             line_words: params.line_words,
-            high_write: 0,
         }
     }
 
@@ -137,11 +141,12 @@ impl SimMemory {
         let base = self.next_free;
         let end = base + len;
         assert!(
-            end <= self.words.len(),
+            end <= self.capacity,
             "simulated memory exhausted: need {end} words, have {}",
-            self.words.len()
+            self.capacity
         );
         self.next_free = end.next_multiple_of(self.line_words);
+        self.store_through(end);
         base as i64
     }
 
@@ -149,7 +154,6 @@ impl SimMemory {
     pub fn alloc_init(&mut self, data: &[i64]) -> i64 {
         let base = self.alloc(data.len());
         self.words[base as usize..base as usize + data.len()].copy_from_slice(data);
-        self.high_write = self.high_write.max(base as usize + data.len());
         base
     }
 
@@ -160,7 +164,8 @@ impl SimMemory {
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn read(&self, addr: usize) -> i64 {
-        self.words[addr]
+        assert!(addr < self.capacity, "read out of bounds: {addr}");
+        self.words.get(addr).copied().unwrap_or(0)
     }
 
     /// Write a word.
@@ -170,77 +175,52 @@ impl SimMemory {
     /// Panics if `addr` is out of bounds.
     #[inline]
     pub fn write(&mut self, addr: usize, value: i64) {
+        assert!(addr < self.capacity, "write out of bounds: {addr}");
+        self.store_through(addr + 1);
         self.words[addr] = value;
-        self.high_write = self.high_write.max(addr + 1);
     }
 
     /// Checked read used by the simulator (`None` = fault).
     #[inline]
     pub fn try_read(&self, addr: i64) -> Option<i64> {
-        usize::try_from(addr)
-            .ok()
-            .and_then(|a| self.words.get(a))
-            .copied()
+        let addr = usize::try_from(addr).ok()?;
+        (addr < self.capacity).then(|| self.read(addr))
     }
 
     /// Checked write used by the simulator (`false` = fault).
     #[inline]
     pub fn try_write(&mut self, addr: i64, value: i64) -> bool {
-        match usize::try_from(addr)
-            .ok()
-            .and_then(|a| self.words.get_mut(a))
-        {
-            Some(slot) => {
-                *slot = value;
-                self.high_write = self.high_write.max(addr as usize + 1);
+        match usize::try_from(addr) {
+            Ok(addr) if addr < self.capacity => {
+                self.write(addr, value);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
-    /// Overwrite `self` with a copy of `src` without reallocating, so run
-    /// buffers can be recycled across simulations. A fresh 16 MB clone is
-    /// page-fault-bound (~10 ms); copying into an already-faulted buffer
-    /// is a plain memcpy — and thanks to the `high_write` watermark only
-    /// the written prefixes of the two stores need touching at all: both
-    /// are provably zero past their watermarks, so the result is
-    /// word-for-word identical to a full copy.
+    /// Grow the stored prefix to at least `end` words.
+    fn store_through(&mut self, end: usize) {
+        if end > self.words.len() {
+            self.words.resize(end, 0);
+        }
+    }
+
+    /// View a range of allocated memory (for result validation).
     ///
     /// # Panics
     ///
-    /// Panics if the two memories have different capacities.
-    pub fn copy_from(&mut self, src: &SimMemory) {
-        assert_eq!(
-            self.words.len(),
-            src.words.len(),
-            "copy_from requires equal capacities"
-        );
-        self.words[..src.high_write].copy_from_slice(&src.words[..src.high_write]);
-        if self.high_write > src.high_write {
-            self.words[src.high_write..self.high_write].fill(0);
-        }
-        self.high_write = src.high_write;
-        self.next_free = src.next_free;
-        self.line_words = src.line_words;
-    }
-
-    /// View a range of memory (for result validation).
+    /// Panics if the range runs past the allocated or written words.
     pub fn slice(&self, base: i64, len: usize) -> &[i64] {
         &self.words[base as usize..base as usize + len]
     }
 
-    /// Entire backing store, mutably (used by the untimed interpreter).
-    /// Writes through the returned slice cannot be tracked, so the
-    /// high-write watermark is pessimistically raised to the full store.
+    /// The whole address space, mutably (used by the untimed
+    /// interpreters). Stores every word up to capacity first, so the
+    /// slice is exactly as long as the memory is big.
     pub fn words_mut(&mut self) -> &mut [i64] {
-        self.high_write = self.words.len();
+        self.store_through(self.capacity);
         &mut self.words
-    }
-
-    /// Entire backing store.
-    pub fn words(&self) -> &[i64] {
-        &self.words
     }
 
     /// Words allocated so far.
@@ -248,11 +228,32 @@ impl SimMemory {
         self.next_free
     }
 
-    /// Capacity in words.
-    pub fn capacity(&self) -> usize {
+    /// Words actually held in the backing store, a prefix of the
+    /// capacity.
+    pub fn stored(&self) -> usize {
         self.words.len()
     }
+
+    /// Capacity in words.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
 }
+
+impl PartialEq for SimMemory {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.capacity == other.capacity
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for SimMemory {}
 
 /// Shared memory-side cache model: set-associative, LRU, allocate-on-miss
 /// for both loads and stores. Only hit/miss (latency) is modelled — data
@@ -372,6 +373,80 @@ mod tests {
         assert!(m.try_write(0, 42));
         assert_eq!(m.try_read(0), Some(42));
         assert!(!m.try_write(-5, 1));
+    }
+
+    #[test]
+    fn unstored_words_read_zero_and_writes_grow_the_store() {
+        let p = MemParams::tiny();
+        let mut m = SimMemory::new(&p);
+        let base = m.alloc_init(&[1, 2, 3]);
+        assert_eq!(m.stored(), 3, "only the allocated words are stored");
+        assert_eq!(m.read(100), 0);
+        assert_eq!(m.try_read(p.mem_words as i64 - 1), Some(0));
+        assert_eq!(m.stored(), 3, "reads never grow the store");
+
+        assert!(m.try_write(100, 7));
+        assert_eq!(m.stored(), 101);
+        assert_eq!(m.read(100), 7);
+        assert_eq!(m.read(50), 0, "the grown gap reads zero");
+        assert_eq!(m.slice(base, 3), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn negative_and_past_capacity_accesses_fault() {
+        let p = MemParams::tiny();
+        let mut m = SimMemory::new(&p);
+        let cap = p.mem_words as i64;
+        assert!(m.try_read(-1).is_none());
+        assert!(m.try_read(cap).is_none());
+        assert!(m.try_read(i64::MAX).is_none());
+        assert!(!m.try_write(-1, 1));
+        assert!(!m.try_write(cap, 1));
+        assert!(!m.try_write(i64::MAX, 1));
+        assert_eq!(m.stored(), 0, "a faulting write stores nothing");
+        assert!(std::panic::catch_unwind(|| SimMemory::new(&p).read(p.mem_words)).is_err());
+        assert!(std::panic::catch_unwind(|| SimMemory::new(&p).write(p.mem_words, 1)).is_err());
+    }
+
+    #[test]
+    fn equality_ignores_how_many_words_are_stored() {
+        let p = MemParams::tiny();
+        let mut a = SimMemory::new(&p);
+        a.alloc_init(&[4, 5]);
+        let mut b = a.clone();
+        b.write(p.mem_words - 1, 0);
+        assert_eq!(b.stored(), p.mem_words);
+        assert_eq!(a, b, "an explicit zero equals a word never written");
+        assert_eq!(b, a);
+
+        b.write(200, 9);
+        assert_ne!(a, b, "a nonzero word past the shorter store differs");
+        a.write(200, 9);
+        assert_eq!(a, b);
+        a.write(0, -4);
+        assert_ne!(a, b, "a differing stored word differs");
+
+        let other = MemParams {
+            mem_words: p.mem_words * 2,
+            ..p
+        };
+        assert_ne!(
+            SimMemory::new(&p),
+            SimMemory::new(&other),
+            "capacity counts"
+        );
+    }
+
+    #[test]
+    fn words_mut_spans_the_full_capacity() {
+        let p = MemParams::tiny();
+        let mut m = SimMemory::new(&p);
+        let base = m.alloc_init(&[8, 9]) as usize;
+        let words = m.words_mut();
+        assert_eq!(words.len(), p.mem_words);
+        assert_eq!(&words[base..base + 2], &[8, 9]);
+        words[p.mem_words - 1] = 3;
+        assert_eq!(m.read(p.mem_words - 1), 3);
     }
 
     #[test]

@@ -233,12 +233,12 @@ fn models_agree_on_final_memory() {
         let mut cfg = cfg_tiny();
         cfg.model = model;
         run(&g, &mut mem, &[(zp, 0)], cfg).unwrap();
-        images.push(mem.words().to_vec());
+        images.push(mem);
     }
     for w in images.windows(2) {
         assert_eq!(w[0], w[1], "models must agree on final memory");
     }
-    assert_eq!(images[0][64 + 5], 25);
+    assert_eq!(images[0].read(64 + 5), 25);
 }
 
 /// A credit-starved loop must terminate with a diagnosed `Deadlock` in a
@@ -420,11 +420,7 @@ fn perturbation_changes_timing_but_not_results() {
         let mut mem = SimMemory::new(&MemParams::tiny());
         let stats = run(&g, &mut mem, &[(zp, 0)], cfg).unwrap();
         assert_eq!(stats.sinks, base.sinks, "seed {seed}: sinks must match");
-        assert_eq!(
-            mem.words(),
-            base_mem.words(),
-            "seed {seed}: memory must match"
-        );
+        assert_eq!(mem, base_mem, "seed {seed}: memory must match");
         assert_eq!(stats.residual_tokens, 0);
         assert!(stats.cycles >= base.cycles, "jitter only adds latency");
         saw_slower |= stats.cycles > base.cycles;

@@ -1,7 +1,9 @@
 //! Golden cycle-count identity: every workload in the registry, compiled
 //! with its standard heuristic and simulated under every primary memory
 //! model, must reproduce the committed cycle counts, sink streams, and
-//! `RunStats` aggregates exactly.
+//! `RunStats` aggregates exactly. Along the way it checks that every
+//! built and final memory image stores no more words than the workload
+//! allocated: the 8 MB capacity is an address range, not an allocation.
 //!
 //! This file is the safety net for engine rewrites: any change to firing
 //! order, event scheduling, memory arbitration, or energy accounting shows
@@ -16,7 +18,7 @@
 //! ```
 
 use nupea::experiments::{heuristic_for, primary_models};
-use nupea::{Scale, SystemConfig};
+use nupea::{Scale, SimOptions, SystemConfig};
 use nupea_kernels::workloads::all_workloads;
 use std::fmt::Write as _;
 
@@ -52,9 +54,21 @@ fn golden_text() -> String {
             let compiled = sys
                 .compile(&w, heuristic_for(model))
                 .unwrap_or_else(|e| panic!("{}: pnr failed: {e}", spec.name));
-            let s = compiled
-                .simulate(model)
+            let run = compiled
+                .simulate_with(&SimOptions::new(model))
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", spec.name, model.label()));
+            // Footprint: the built and final images store only allocated words.
+            for (which, mem) in [("built", &w.mem), ("final", &run.memory)] {
+                assert!(
+                    mem.stored() <= w.mem.used(),
+                    "{}/{}: {which} image stores {} words, {} allocated",
+                    spec.name,
+                    model.label(),
+                    mem.stored(),
+                    w.mem.used()
+                );
+            }
+            let s = run.stats;
             if !first {
                 out.push_str(",\n");
             }

@@ -244,8 +244,7 @@ fn timed_engine_matches_interpreter() {
         assert_eq!(stats.residual_tokens, 0, "timed run must drain");
         assert_eq!(&stats.sinks, &ref_result.sinks, "sink streams must agree");
         assert_eq!(
-            mem.words(),
-            ref_mem.words(),
+            mem, ref_mem,
             "final memory must agree (model {model}, fifo {fifo_depth}, outstanding {max_outstanding})"
         );
     }
@@ -297,6 +296,6 @@ fn differential_regression_fixed_programs() {
         }
         let stats = e.run(&mut mem).unwrap();
         assert_eq!(stats.sinks, r.sinks, "program {i}");
-        assert_eq!(mem.words(), ref_mem.words(), "program {i}");
+        assert_eq!(mem, ref_mem, "program {i}");
     }
 }

@@ -73,12 +73,7 @@ fn disabled_fault_hooks_are_invisible_to_every_workload() {
         assert_eq!(off.fabric_cycles, base.fabric_cycles, "{}", w.name);
         assert_eq!(off.firings, base.firings, "{}: firings moved", w.name);
         assert_eq!(off.sinks, base.sinks, "{}: sinks moved", w.name);
-        assert_eq!(
-            off_mem.words(),
-            base_mem.words(),
-            "{}: memory moved",
-            w.name
-        );
+        assert_eq!(off_mem, base_mem, "{}: memory moved", w.name);
         assert_eq!(
             off.load_latency_by_domain, base.load_latency_by_domain,
             "{}: latency stats moved",
@@ -102,16 +97,9 @@ fn pe_failure_recovers_via_avoid_set_replace() {
         .compile(&w, Heuristic::CriticalityAware)
         .expect("golden");
     let golden_out = golden_compiled
-        .simulate_with(
-            &SimOptions::new(MemoryModel::Nupea)
-                .no_validate()
-                .keep_memory(),
-        )
+        .simulate_with(&SimOptions::new(MemoryModel::Nupea).no_validate())
         .expect("golden runs");
-    let (golden, golden_mem) = (
-        golden_out.stats,
-        golden_out.memory.expect("memory was requested"),
-    );
+    let (golden, golden_mem) = (golden_out.stats, golden_out.memory);
 
     // Fail the busiest PE of the golden placement from reset — spmv
     // cannot complete without it.
@@ -130,15 +118,11 @@ fn pe_failure_recovers_via_avoid_set_replace() {
             .fault(FaultConfig::inject(kind))
             .stall_window(20_000)
             .max_cycles(budget)
-            .no_validate()
-            .keep_memory(),
+            .no_validate(),
     );
     let detected = match injected {
         Err(_) => true,
-        Ok(ref out) => {
-            out.stats.sinks != golden.sinks
-                || out.memory.as_ref().expect("memory was requested").words() != golden_mem.words()
-        }
+        Ok(ref out) => out.stats.sinks != golden.sinks || out.memory != golden_mem,
     };
     assert!(detected, "killing the busiest PE must be detectable");
 
@@ -153,23 +137,15 @@ fn pe_failure_recovers_via_avoid_set_replace() {
         "re-place must not use the failed PE"
     );
     let recovered_out = recovered_compiled
-        .simulate_with(
-            &SimOptions::new(MemoryModel::Nupea)
-                .no_validate()
-                .keep_memory(),
-        )
+        .simulate_with(&SimOptions::new(MemoryModel::Nupea).no_validate())
         .expect("recovered run completes");
-    let (recovered, recovered_mem) = (
-        recovered_out.stats,
-        recovered_out.memory.expect("memory was requested"),
-    );
+    let (recovered, recovered_mem) = (recovered_out.stats, recovered_out.memory);
     assert_eq!(
         recovered.sinks, golden.sinks,
         "recovered sinks must be bit-identical to golden"
     );
     assert_eq!(
-        recovered_mem.words(),
-        golden_mem.words(),
+        recovered_mem, golden_mem,
         "recovered memory must be bit-identical to golden"
     );
     assert!(recovered.cycles > 0);

@@ -102,18 +102,8 @@ fn three_way(p: &Program, mem0: &SimMemory, params: &[(&str, i64)], rng: &mut Xo
         "{}: scalar vs engine sinks",
         p.name()
     );
-    assert_eq!(
-        m_scalar.words(),
-        m_ir.words(),
-        "{}: scalar vs ir memory",
-        p.name()
-    );
-    assert_eq!(
-        m_scalar.words(),
-        m_engine.words(),
-        "{}: scalar vs engine memory",
-        p.name()
-    );
+    assert_eq!(m_scalar, m_ir, "{}: scalar vs ir memory", p.name());
+    assert_eq!(m_scalar, m_engine, "{}: scalar vs engine memory", p.name());
 }
 
 /// Fresh memory with a seeded data region at `base..base+len`, values in

@@ -19,7 +19,7 @@ fn spmspv_lang_graph_is_identical_to_handwritten() {
             "par={par}: graphs differ"
         );
         // Same inputs too: the memory images must match word-for-word.
-        assert_eq!(hand.mem.words(), lang.mem.words(), "par={par}: memory");
+        assert_eq!(hand.mem, lang.mem, "par={par}: memory");
     }
 }
 

@@ -80,11 +80,9 @@ fn all_workloads_are_schedule_invariant_under_perturbation() {
                 w.name, p.seed
             );
             assert_eq!(
-                mem.words(),
-                base_mem.words(),
+                mem, base_mem,
                 "{}: final memory diverged under perturbation seed {}",
-                w.name,
-                p.seed
+                w.name, p.seed
             );
             assert_eq!(
                 stats.residual_tokens, base.residual_tokens,

@@ -4,7 +4,7 @@
 
 use nupea::experiments::{heuristic_for, primary_models};
 use nupea::runner::ExperimentRunner;
-use nupea::{auto_parallelize, Heuristic, MemoryModel, Scale, SystemConfig};
+use nupea::{auto_parallelize, Heuristic, MemoryModel, Scale, SimOptions, SystemConfig};
 use nupea_kernels::workloads::{all_workloads, workload_by_name};
 
 #[test]
@@ -41,10 +41,20 @@ fn all_workloads_validate_at_bench_scale_on_monaco() {
         let compiled = sys
             .compile(&w, Heuristic::CriticalityAware)
             .unwrap_or_else(|e| panic!("{}: pnr failed: {e}", spec.name));
-        let stats = compiled
-            .simulate(MemoryModel::Nupea)
+        let out = compiled
+            .simulate_with(&SimOptions::new(MemoryModel::Nupea))
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        assert_eq!(stats.residual_tokens, 0, "{}: unbalanced", spec.name);
+        assert_eq!(out.stats.residual_tokens, 0, "{}: unbalanced", spec.name);
+        // Footprint: the built and final images store only allocated words.
+        for (which, mem) in [("built", &w.mem), ("final", &out.memory)] {
+            assert!(
+                mem.stored() <= w.mem.used(),
+                "{}: {which} image stores {} words, {} allocated",
+                spec.name,
+                mem.stored(),
+                w.mem.used()
+            );
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Chaos test for crash-tolerant distributed campaign execution (the
 //! sharding PR's acceptance gate): spawn real worker subprocesses,
-//! SIGKILL several at seeded-random points mid-run, and assert that
+//! SIGKILL several at seeded-random points mid-run (paced by the shard
+//! claims they append, not by wall clock), and assert that
 //!
 //! 1. the survivors steal the dead workers' shards and finish the run,
 //! 2. a resumed worker performs **zero** work (all shards done — no
@@ -12,7 +13,7 @@
 //! configurations are duplicated here and must stay in sync.
 
 use nupea::campaign::{CampaignConfig, FaultCampaign};
-use nupea::shard::ShardOptions;
+use nupea::shard::{self, ShardOptions};
 use nupea::{jsonl, Scale};
 use nupea_dse::{DseConfig, SearchSpace};
 use nupea_kernels::workloads::workload_by_name;
@@ -80,17 +81,31 @@ fn run_worker_to_completion(mode: &str, dir: &Path, shards: u32, id: &str) -> St
     String::from_utf8(out.stdout).expect("stats are utf-8")
 }
 
-/// The chaos schedule: spawn `workers`, SIGKILL `kills` of them at
-/// seeded-random points mid-run (each after `delay.0 + below(delay.1)`
-/// milliseconds), let the survivors finish, and return how many victims
-/// were killed while still running.
+/// Workers in the order their shard claims appear in the coordination
+/// journal (a torn tail line is simply not counted yet).
+fn claimers(dir: &Path) -> Vec<String> {
+    std::fs::read_to_string(shard::coord_path(dir))
+        .unwrap_or_default()
+        .lines()
+        .filter(|line| jsonl::string_field(line, "rec").as_deref() == Some("claim"))
+        .filter_map(|line| jsonl::string_field(line, "worker"))
+        .collect()
+}
+
+/// The chaos schedule: spawn `workers`, then SIGKILL `kills` of them
+/// mid-run. Each kill waits for one to `spread` (seeded) further shard
+/// claims to appear in the coordination journal and kills the worker
+/// that made the last of them, so it dies holding a fresh lease. The
+/// schedule follows the run's own progress, so no engine speed can
+/// outrun it. Lets the survivors finish and returns how many victims were
+/// killed while still running.
 fn run_chaos(
     mode: &str,
     dir: &Path,
     shards: u32,
     workers: u32,
     kills: usize,
-    delay: (u64, u64),
+    spread: u64,
     seed: u64,
 ) -> usize {
     let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -100,23 +115,38 @@ fn run_chaos(
             (id.clone(), spawn_worker(mode, dir, shards, &id))
         })
         .collect();
-    // Pick distinct victims up front; kill each after its own random
-    // delay, long enough for claims to land and work to be in flight.
-    let mut victims: Vec<usize> = (0..children.len()).collect();
-    rng.shuffle(&mut victims);
-    victims.truncate(kills);
+    let mut victims: Vec<usize> = Vec::new();
+    let mut claim = 0;
     let mut killed_live = 0;
-    for &v in &victims {
-        std::thread::sleep(Duration::from_millis(delay.0 + rng.below(delay.1)));
+    while victims.len() < kills {
+        claim += 1 + rng.below(spread) as usize;
+        let victim = loop {
+            if let Some(id) = claimers(dir).get(claim - 1) {
+                break Some(id.clone());
+            }
+            if children
+                .iter_mut()
+                .all(|(_, c)| c.try_wait().expect("try_wait").is_some())
+            {
+                break None; // the run ended before this claim
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let Some(victim) = victim else { break };
+        let v = children
+            .iter()
+            .position(|(id, _)| *id == victim)
+            .expect("claims come from spawned workers");
         let (id, child) = &mut children[v];
         match child.try_wait().expect("try_wait") {
             Some(_) => {} // finished before the bullet landed
             None => {
                 child.kill().expect("SIGKILL victim");
                 killed_live += 1;
-                eprintln!("chaos: killed {id} mid-run");
+                eprintln!("chaos: killed {id} mid-run after claim {claim}");
             }
         }
+        victims.push(v);
     }
     for (i, (id, child)) in children.into_iter().enumerate() {
         let out = child.wait_with_output().expect("wait child");
@@ -134,7 +164,7 @@ fn killed_fault_campaign_workers_are_stolen_and_merge_is_byte_identical() {
 
     let dir = scratch("faults");
     let shards = 6;
-    let killed = run_chaos("faults", &dir, shards, 4, 2, (120, 300), 0xC7A0_5001);
+    let killed = run_chaos("faults", &dir, shards, 4, 2, 2, 0xC7A0_5001);
     eprintln!("chaos: {killed} of 2 victims were killed while live");
     assert!(
         killed >= 1,
@@ -178,7 +208,7 @@ fn killed_dse_workers_are_stolen_and_frontier_is_byte_identical() {
 
     let dir = scratch("dse");
     let shards = 5;
-    let killed = run_chaos("dse", &dir, shards, 3, 1, (15, 80), 0xC7A0_5002);
+    let killed = run_chaos("dse", &dir, shards, 3, 1, 2, 0xC7A0_5002);
     eprintln!("chaos: {killed} of 1 victims were killed while live");
 
     let stats = run_worker_to_completion("dse", &dir, shards, "resume");

@@ -59,7 +59,7 @@ fn tracing_is_invisible_to_every_workload() {
         assert_eq!(on.fabric_cycles, off.fabric_cycles, "{}", w.name);
         assert_eq!(on.firings, off.firings, "{}: firings moved", w.name);
         assert_eq!(on.sinks, off.sinks, "{}: sinks moved", w.name);
-        assert_eq!(on_mem.words(), off_mem.words(), "{}: memory moved", w.name);
+        assert_eq!(on_mem, off_mem, "{}: memory moved", w.name);
         assert_eq!(
             on.load_latency_by_domain, off.load_latency_by_domain,
             "{}: latency stats moved",
