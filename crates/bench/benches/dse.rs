@@ -37,6 +37,7 @@
 
 use nupea::experiments::render_table;
 use nupea::{Heuristic, Scale};
+use nupea_bench::{flag_value, parse_flag};
 use nupea_dse::{
     Annealing, Budget, DseConfig, DseEngine, DseReport, GridSearch, HalvingConfig, Journal,
     RandomSearch, SearchSpace, SearchStrategy,
@@ -84,61 +85,27 @@ fn parse_opts() -> Result<Opts, String> {
         expect_no_sim: false,
     };
     let mut args = std::env::args().skip(1);
-    let value =
-        |args: &mut std::iter::Skip<std::env::Args>, flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--workload" => opts.workloads.push(value(&mut args, "--workload")?),
-            "--journal" => opts.journal = Some(value(&mut args, "--journal")?.into()),
-            "--strategy" => opts.strategy = value(&mut args, "--strategy")?,
-            "--samples" => {
-                opts.samples = value(&mut args, "--samples")?
-                    .parse()
-                    .map_err(|e| format!("--samples: {e}"))?;
-            }
-            "--steps" => {
-                opts.steps = value(&mut args, "--steps")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut args, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--budget" => {
-                opts.budget = Some(
-                    value(&mut args, "--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?,
-                );
-            }
-            "--rungs" => {
-                opts.rungs = value(&mut args, "--rungs")?
-                    .parse()
-                    .map_err(|e| format!("--rungs: {e}"))?;
-            }
-            "--eta" => {
-                opts.eta = value(&mut args, "--eta")?
-                    .parse()
-                    .map_err(|e| format!("--eta: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut args, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
+            "--workload" => opts.workloads.push(flag_value(&mut args, &a)?),
+            "--journal" => opts.journal = Some(flag_value(&mut args, &a)?.into()),
+            "--strategy" => opts.strategy = flag_value(&mut args, &a)?,
+            "--samples" => opts.samples = parse_flag(&mut args, &a)?,
+            "--steps" => opts.steps = parse_flag(&mut args, &a)?,
+            "--seed" => opts.seed = parse_flag(&mut args, &a)?,
+            "--budget" => opts.budget = Some(parse_flag(&mut args, &a)?),
+            "--rungs" => opts.rungs = parse_flag(&mut args, &a)?,
+            "--eta" => opts.eta = parse_flag(&mut args, &a)?,
+            "--threads" => opts.threads = parse_flag(&mut args, &a)?,
             "--scale" => {
-                opts.scale = Some(match value(&mut args, "--scale")?.as_str() {
+                opts.scale = Some(match flag_value(&mut args, &a)?.as_str() {
                     "test" => Scale::Test,
                     "bench" => Scale::Bench,
                     s => return Err(format!("--scale: unknown scale {s:?}")),
                 });
             }
-            "--json" => opts.json = Some(value(&mut args, "--json")?.into()),
-            "--trace-dir" => opts.trace_dir = Some(value(&mut args, "--trace-dir")?.into()),
+            "--json" => opts.json = Some(flag_value(&mut args, &a)?.into()),
+            "--trace-dir" => opts.trace_dir = Some(flag_value(&mut args, &a)?.into()),
             "--check" => opts.check = true,
             "--expect-no-sim" => opts.expect_no_sim = true,
             // Ignore flags cargo's bench harness forwards (e.g. --bench).

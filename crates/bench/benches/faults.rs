@@ -27,6 +27,7 @@
 //!   outputs or hit typed `Unplaceable`
 
 use nupea::{CampaignConfig, CampaignReport, FaultCampaign, OutcomeClass, RecoveryOutcome};
+use nupea_bench::{flag_value, parse_flag};
 use nupea_kernels::workloads::workload_by_name;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,35 +57,15 @@ fn parse_opts() -> Result<Opts, String> {
         check: false,
     };
     let mut args = std::env::args().skip(1);
-    let value =
-        |args: &mut std::iter::Skip<std::env::Args>, flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--workload" => opts.workloads.push(value(&mut args, "--workload")?),
-            "--injections" => {
-                opts.injections = Some(
-                    value(&mut args, "--injections")?
-                        .parse()
-                        .map_err(|e| format!("--injections: {e}"))?,
-                );
-            }
-            "--seed" => {
-                opts.seed = Some(
-                    value(&mut args, "--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                );
-            }
-            "--threads" => {
-                opts.threads = value(&mut args, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--journal" => opts.journal = Some(value(&mut args, "--journal")?.into()),
-            "--json" => opts.json = Some(value(&mut args, "--json")?.into()),
-            "--csv" => opts.csv = Some(value(&mut args, "--csv")?.into()),
+            "--workload" => opts.workloads.push(flag_value(&mut args, &a)?),
+            "--injections" => opts.injections = Some(parse_flag(&mut args, &a)?),
+            "--seed" => opts.seed = Some(parse_flag(&mut args, &a)?),
+            "--threads" => opts.threads = parse_flag(&mut args, &a)?,
+            "--journal" => opts.journal = Some(flag_value(&mut args, &a)?.into()),
+            "--json" => opts.json = Some(flag_value(&mut args, &a)?.into()),
+            "--csv" => opts.csv = Some(flag_value(&mut args, &a)?.into()),
             "--check" => opts.check = true,
             // Ignore flags cargo's bench harness forwards (e.g. --bench).
             s if s.starts_with("--") => {}

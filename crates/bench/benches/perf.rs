@@ -13,6 +13,7 @@
 
 use nupea::experiments::{geomean, heuristic_for};
 use nupea::{Heuristic, MemoryModel, Scale, SystemConfig};
+use nupea_bench::{flag_value, parse_flag};
 use nupea_kernels::interp_kernel;
 use nupea_kernels::workloads::{all_workloads, workload_by_name};
 use std::fmt::Write as _;
@@ -107,16 +108,21 @@ fn baseline_geomean(text: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
+    let (mut json_path, mut baseline_path, mut gate, mut repeats) = (None, None, 1.10_f64, 3_u32);
+    let mut args = std::env::args().skip(1);
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--json" => json_path = Some(flag_value(&mut args, &a)?),
+                "--baseline" => baseline_path = Some(flag_value(&mut args, &a)?),
+                "--gate" => gate = parse_flag(&mut args, &a)?,
+                "--repeats" => repeats = parse_flag(&mut args, &a)?,
+                _ => {}
+            }
+        }
+        Ok(())
     };
-    let json_path = flag("--json");
-    let baseline_path = flag("--baseline");
-    let gate: f64 = flag("--gate").and_then(|v| v.parse().ok()).unwrap_or(1.10);
-    let repeats: u32 = flag("--repeats").and_then(|v| v.parse().ok()).unwrap_or(3);
+    parse().unwrap_or_else(|e| panic!("perf: {e}"));
 
     let sys = SystemConfig::monaco_12x12();
 

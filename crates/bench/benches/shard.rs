@@ -9,36 +9,47 @@
 //! * `dse` — the smoke DSE grid (spmspv, six candidates) sharded across
 //!   worker processes.
 //!
-//! The harness spawns `--workers` copies of itself (via the hidden
-//! `--worker ID` flag); each claims shards through the lease journal in
-//! `--dir`, so killing any subset of them mid-run loses no work: the
-//! survivors steal the expired leases. With `--chaos K` the harness
-//! itself SIGKILLs K seeded-random workers mid-run to prove it. After
-//! the run the parent finishes any remainder in-process, merges the
-//! per-shard journals, and (with `--check`) asserts that a fresh worker
-//! claims nothing — zero re-simulation — and that the merged report is
-//! byte-identical to the single-process (`shards = 1`) report.
+//! Both modes run through the one shard driver (`nupea::shard`); the
+//! mode only picks the job. The harness spawns `--workers` copies of
+//! itself (via the hidden `--worker ID` flag); each claims shards
+//! through the lease journal in `--dir`, so killing any subset of them
+//! mid-run loses no work: the survivors steal the expired leases. With
+//! `--chaos K` the harness itself SIGKILLs K workers mid-run to prove
+//! it, each one right after it appended a seeded-random next claim to
+//! the lease journal, so it dies holding a lease. After the run a fresh
+//! worker finishes any remainder, the harness merges the per-shard
+//! journals, and (with `--check`) asserts that another fresh worker
+//! claims nothing — zero re-simulation — that the merged report is
+//! byte-identical to the single-process report, and that `--chaos K > 0`
+//! killed at least one live worker. The single-process report comes
+//! from outside the shard driver: `FaultCampaign::run` in `faults` mode,
+//! a plain `DseEngine` grid search in `dse` mode.
 //!
 //! Flags:
 //!
 //! * `--dir PATH`         coordination + shard journal directory (required
 //!   for multi-process runs; a temp dir is used when omitted)
-//! * `--shards N`         shard count (default 13; 1 = single-process)
+//! * `--shards N`         shard count (default 13; 1 = single-process,
+//!   journaled in `--dir` with no leases)
 //! * `--workers N`        worker subprocesses to spawn (default 4)
-//! * `--chaos K`          SIGKILL K random workers mid-run (default 0)
-//! * `--seed N`           chaos schedule seed (default 0xC7A05)
+//! * `--chaos K`          SIGKILL K workers mid-run (default 0; at most
+//!   `--workers` - 1)
+//! * `--seed N`           chaos schedule seed (default 817669 = 0xC7A05)
 //! * `--ttl-ms N`         lease time-to-live (default 1500)
 //! * `--heartbeat-ms N`   lease renewal period (default 150)
 //! * `--json PATH`        write the merged report JSON
-//! * `--single-json PATH` also run single-process and write its JSON
-//! * `--check`            assert zero re-simulation on resume and merged
-//!   bytes == single-process bytes
+//! * `--single-json PATH` also compute the single-process report and
+//!   write its JSON
+//! * `--check`            assert zero re-simulation on resume, merged
+//!   bytes == single-process bytes, and that chaos killed a live worker
 
-use nupea::shard::ShardOptions;
-use nupea::{jsonl, CampaignConfig, FaultCampaign, Scale};
-use nupea_dse::{DseConfig, SearchSpace};
+use nupea::shard::{self, ShardJob, ShardOptions};
+use nupea::{jsonl, CampaignConfig, CampaignJob, FaultCampaign, Scale, Workload};
+use nupea_bench::{flag_value, parse_flag};
+use nupea_dse::{DseConfig, DseEngine, DseReport, GridJob, GridSearch, SearchSpace};
 use nupea_kernels::workloads::workload_by_name;
 use nupea_rng::Xoshiro256;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
@@ -76,26 +87,19 @@ fn parse_opts() -> Result<Opts, String> {
         worker: None,
     };
     let mut args = std::env::args().skip(1);
-    let value =
-        |args: &mut std::iter::Skip<std::env::Args>, flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-    let num = |flag: &str, s: String| s.parse::<u64>().map_err(|e| format!("{flag}: {e}"));
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--dir" => opts.dir = Some(value(&mut args, "--dir")?.into()),
-            "--shards" => opts.shards = num("--shards", value(&mut args, "--shards")?)? as u32,
-            "--workers" => opts.workers = num("--workers", value(&mut args, "--workers")?)? as u32,
-            "--chaos" => opts.chaos = num("--chaos", value(&mut args, "--chaos")?)? as u32,
-            "--seed" => opts.seed = num("--seed", value(&mut args, "--seed")?)?,
-            "--ttl-ms" => opts.ttl_ms = num("--ttl-ms", value(&mut args, "--ttl-ms")?)?,
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = num("--heartbeat-ms", value(&mut args, "--heartbeat-ms")?)?;
-            }
-            "--json" => opts.json = Some(value(&mut args, "--json")?.into()),
-            "--single-json" => opts.single_json = Some(value(&mut args, "--single-json")?.into()),
+            "--dir" => opts.dir = Some(flag_value(&mut args, &a)?.into()),
+            "--shards" => opts.shards = parse_flag(&mut args, &a)?,
+            "--workers" => opts.workers = parse_flag(&mut args, &a)?,
+            "--chaos" => opts.chaos = parse_flag(&mut args, &a)?,
+            "--seed" => opts.seed = parse_flag(&mut args, &a)?,
+            "--ttl-ms" => opts.ttl_ms = parse_flag(&mut args, &a)?,
+            "--heartbeat-ms" => opts.heartbeat_ms = parse_flag(&mut args, &a)?,
+            "--json" => opts.json = Some(flag_value(&mut args, &a)?.into()),
+            "--single-json" => opts.single_json = Some(flag_value(&mut args, &a)?.into()),
             "--check" => opts.check = true,
-            "--worker" => opts.worker = Some(value(&mut args, "--worker")?),
+            "--worker" => opts.worker = Some(flag_value(&mut args, &a)?),
             // Ignore flags cargo's bench harness forwards (e.g. --bench).
             s if s.starts_with("--") => {}
             s => opts.mode = s.to_string(),
@@ -104,13 +108,8 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// The campaign every process of a `faults` run agrees on.
-fn campaign() -> FaultCampaign {
-    FaultCampaign::new(CampaignConfig::smoke())
-}
-
 /// The search space every process of a `dse` run agrees on (the dse
-/// bench's smoke preset).
+/// bench's smoke preset), searched over spmspv.
 fn space() -> SearchSpace {
     SearchSpace {
         domain_cols: vec![3],
@@ -121,37 +120,17 @@ fn space() -> SearchSpace {
     }
 }
 
-fn shard_options(opts: &Opts, worker: String) -> ShardOptions {
-    ShardOptions {
-        shards: opts.shards,
-        worker,
-        ttl_ms: opts.ttl_ms,
-        heartbeat_ms: opts.heartbeat_ms,
-        ..ShardOptions::default()
-    }
+fn spmspv() -> Workload {
+    workload_by_name("spmspv")
+        .expect("spmspv exists")
+        .build_default(Scale::Test)
 }
 
-/// Worker-process mode: drain the shard queue, print one stats line.
-fn run_as_worker(opts: &Opts, id: &str, dir: &Path) -> Result<(), String> {
-    let sopts = shard_options(opts, id.to_string());
-    let stats = match opts.mode.as_str() {
-        "faults" => campaign()
-            .run_shard_worker(dir, &sopts)
-            .map_err(|e| e.to_string())?,
-        "dse" => {
-            let spmspv = workload_by_name("spmspv")
-                .expect("spmspv exists")
-                .build_default(Scale::Test);
-            nupea_dse::run_shard_worker(&space(), &DseConfig::default(), &[spmspv], dir, &sopts)
-                .map_err(|e| e.to_string())?
-        }
-        m => return Err(format!("unknown mode {m:?} (faults|dse)")),
-    };
-    println!(
-        "{{\"claimed\":{},\"completed\":{},\"stolen\":{},\"fenced\":{}}}",
-        stats.claimed, stats.completed, stats.stolen, stats.fenced
-    );
-    Ok(())
+/// The single-process `dse` report: a plain grid search.
+fn grid_search() -> std::io::Result<DseReport> {
+    let mut engine = DseEngine::new(space(), DseConfig::default());
+    engine.add_workload(spmspv());
+    engine.run(&mut GridSearch::new(space().len()))
 }
 
 /// Spawn one worker copy of this binary, forwarding the run config.
@@ -177,9 +156,14 @@ fn spawn_worker(opts: &Opts, dir: &Path, id: &str) -> Result<Child, String> {
         .map_err(|e| format!("spawn worker {id}: {e}"))
 }
 
-/// Spawn the fleet, SIGKILL `--chaos` seeded-random members mid-run, and
-/// wait for the rest; survivors must exit cleanly.
-fn run_fleet(opts: &Opts, dir: &Path) -> Result<(), String> {
+/// Spawn the fleet and SIGKILL `--chaos` of its members mid-run. Each
+/// kill waits for one or two (seeded) further shard claims in the
+/// coordination journal and kills the worker that made the last of
+/// them, so it dies holding a fresh lease; pacing by the run's own
+/// progress means no engine speed can outrun the schedule. Survivors
+/// must exit cleanly. Returns how many victims were still running when
+/// killed.
+fn run_fleet(opts: &Opts, dir: &Path) -> Result<u32, String> {
     let mut children: Vec<(String, Child)> = (0..opts.workers)
         .map(|i| {
             let id = format!("w{i}");
@@ -187,16 +171,34 @@ fn run_fleet(opts: &Opts, dir: &Path) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
     let mut rng = Xoshiro256::seed_from_u64(opts.seed);
-    let mut victims: Vec<usize> = (0..children.len()).collect();
-    rng.shuffle(&mut victims);
-    victims.truncate(opts.chaos.min(opts.workers.saturating_sub(1)) as usize);
-    for &v in &victims {
-        std::thread::sleep(Duration::from_millis(100 + rng.below(300)));
+    let kills = opts.chaos.min(opts.workers.saturating_sub(1)) as usize;
+    let (mut victims, mut claim, mut killed) = (Vec::new(), 0, 0);
+    while victims.len() < kills {
+        claim += 1 + rng.below(2) as usize;
+        let victim = loop {
+            if let Some(id) = shard::claimers(dir).get(claim - 1) {
+                break Some(id.clone());
+            }
+            if children
+                .iter_mut()
+                .all(|(_, c)| matches!(c.try_wait(), Ok(Some(_))))
+            {
+                break None; // the run ended before this claim
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let Some(victim) = victim else { break };
+        let v = children
+            .iter()
+            .position(|(id, _)| *id == victim)
+            .ok_or_else(|| format!("claim by unknown worker {victim}"))?;
         let (id, child) = &mut children[v];
         if child.try_wait().map_err(|e| e.to_string())?.is_none() {
             child.kill().map_err(|e| format!("kill {id}: {e}"))?;
-            println!("chaos: killed {id} mid-run");
+            killed += 1;
+            println!("chaos: killed {id} mid-run after claim {claim}");
         }
+        victims.push(v);
     }
     for (i, (id, child)) in children.into_iter().enumerate() {
         let out = child.wait_with_output().map_err(|e| e.to_string())?;
@@ -208,7 +210,7 @@ fn run_fleet(opts: &Opts, dir: &Path) -> Result<(), String> {
         }
         print!("{id}: {}", String::from_utf8_lossy(&out.stdout));
     }
-    Ok(())
+    Ok(killed)
 }
 
 /// One more worker over the finished run: returns its claim count, which
@@ -224,78 +226,47 @@ fn resume_claims(opts: &Opts, dir: &Path, id: &str) -> Result<u64, String> {
     jsonl::u64_field(&stats, "claimed").ok_or_else(|| format!("bad resume stats: {stats}"))
 }
 
-/// Single-process baseline for `--single-json` / `--check`.
-fn single_process_json(opts: &Opts) -> Result<String, String> {
-    match opts.mode.as_str() {
-        "faults" => Ok(campaign().run().map_err(|e| e.to_string())?.to_json()),
-        "dse" => {
-            let spmspv = workload_by_name("spmspv")
-                .expect("spmspv exists")
-                .build_default(Scale::Test);
-            let dir =
-                std::env::temp_dir().join(format!("nupea-shard-single-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            let report = nupea_dse::run_sharded(
-                &space(),
-                &DseConfig::default(),
-                &[spmspv],
-                &dir,
-                &ShardOptions::with_shards(1),
-            )
-            .map_err(|e| e.to_string())?;
-            std::fs::remove_dir_all(&dir).ok();
-            Ok(report.to_json())
-        }
-        m => Err(format!("unknown mode {m:?} (faults|dse)")),
-    }
+fn write(path: &Path, text: &str, what: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("{what} json -> {}", path.display());
+    Ok(())
 }
 
-/// Merge the per-shard journals into the final report JSON.
-fn merged_json(opts: &Opts, dir: &Path) -> Result<String, String> {
-    match opts.mode.as_str() {
-        "faults" => Ok(campaign()
-            .merge_sharded(dir, opts.shards)
-            .map_err(|e| e.to_string())?
-            .to_json()),
-        "dse" => {
-            let spmspv = workload_by_name("spmspv")
-                .expect("spmspv exists")
-                .build_default(Scale::Test);
-            Ok(nupea_dse::merge_sharded(
-                &space(),
-                &DseConfig::default(),
-                &[spmspv],
-                dir,
-                opts.shards,
-            )
-            .map_err(|e| e.to_string())?
-            .to_json())
-        }
-        m => Err(format!("unknown mode {m:?} (faults|dse)")),
-    }
-}
-
-fn run() -> Result<(), String> {
-    let opts = parse_opts()?;
-    let scratch;
-    let dir: &Path = match &opts.dir {
-        Some(d) => d,
-        None => {
-            scratch = std::env::temp_dir().join(format!("nupea-shard-{}", std::process::id()));
-            std::fs::remove_dir_all(&scratch).ok();
-            &scratch
-        }
-    };
+/// The harness over one job: every process builds its own copy with
+/// `job`, `single` computes the single-process report without the shard
+/// driver, so a driver fault cannot hide on both sides of `--check`, and
+/// reports render with `json`.
+fn drive<J: ShardJob>(
+    opts: &Opts,
+    dir: &Path,
+    job: impl Fn() -> J,
+    single: impl FnOnce() -> Result<J::Report, J::Error>,
+    json: fn(&J::Report) -> String,
+) -> Result<(), String>
+where
+    J::Error: Display,
+{
     if let Some(id) = &opts.worker {
-        return run_as_worker(&opts, id, dir);
+        let sopts = ShardOptions {
+            shards: opts.shards,
+            worker: id.clone(),
+            ttl_ms: opts.ttl_ms,
+            heartbeat_ms: opts.heartbeat_ms,
+        };
+        let stats = shard::work(&mut job(), dir, &sopts).map_err(|e| e.to_string())?;
+        println!(
+            "{{\"claimed\":{},\"completed\":{},\"stolen\":{},\"fenced\":{}}}",
+            stats.claimed, stats.completed, stats.stolen, stats.fenced
+        );
+        return Ok(());
     }
-
     if opts.shards <= 1 {
-        // Degraded single-process path: no fleet, no coordination journal.
-        let json = single_process_json(&opts)?;
+        // One process fills one journal: no fleet, no coordination journal.
+        let report = shard::run_sharded(&mut job(), dir, &ShardOptions::with_shards(1))
+            .map(|r| json(&r))
+            .map_err(|e| e.to_string())?;
         if let Some(path) = &opts.json {
-            std::fs::write(path, &json).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!("report json -> {}", path.display());
+            write(path, &report, "report")?;
         }
         println!("shards=1: single-process run complete");
         return Ok(());
@@ -309,30 +280,36 @@ fn run() -> Result<(), String> {
         opts.chaos,
         dir.display()
     );
-    run_fleet(&opts, dir)?;
+    let killed = run_fleet(opts, dir)?;
     // Finish any remainder (e.g. every worker was a chaos victim) and
     // measure how much a resumed worker re-claims.
-    let claimed = resume_claims(&opts, dir, "resume")?;
+    let claimed = resume_claims(opts, dir, "resume")?;
     println!("resume: claimed {claimed} shards");
 
-    let merged = merged_json(&opts, dir)?;
+    let merged = shard::merge(&job(), dir, opts.shards)
+        .map(|r| json(&r))
+        .map_err(|e| e.to_string())?;
     if let Some(path) = &opts.json {
-        std::fs::write(path, &merged).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("merged json -> {}", path.display());
+        write(path, &merged, "merged")?;
     }
     if opts.single_json.is_some() || opts.check {
-        let single = single_process_json(&opts)?;
+        let single = single().map(|r| json(&r)).map_err(|e| e.to_string())?;
         if let Some(path) = &opts.single_json {
-            std::fs::write(path, &single).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!("single-process json -> {}", path.display());
+            write(path, &single, "single-process")?;
         }
         if opts.check {
             if merged != single {
                 return Err("check: merged report differs from single-process report".into());
             }
+            if opts.chaos > 0 && killed == 0 {
+                return Err(format!(
+                    "check: --chaos {} killed no live worker",
+                    opts.chaos
+                ));
+            }
             // `resume` ran after the fleet drained the queue (and finished
             // any chaos remainder itself), so it must have claimed nothing.
-            let again = resume_claims(&opts, dir, "resume2")?;
+            let again = resume_claims(opts, dir, "resume2")?;
             if again != 0 {
                 return Err(format!("check: resumed worker re-claimed {again} shards"));
             }
@@ -340,6 +317,31 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+fn run() -> Result<(), String> {
+    let opts = parse_opts()?;
+    let scratch;
+    let dir: &Path = match &opts.dir {
+        Some(d) => d,
+        None => {
+            scratch = std::env::temp_dir().join(format!("nupea-shard-{}", std::process::id()));
+            std::fs::remove_dir_all(&scratch).ok();
+            &scratch
+        }
+    };
+    match opts.mode.as_str() {
+        "faults" => {
+            let campaign = || FaultCampaign::new(CampaignConfig::smoke());
+            let job = || CampaignJob::new(campaign());
+            drive(&opts, dir, job, || campaign().run(), |r| r.to_json())
+        }
+        "dse" => {
+            let job = || GridJob::new(space(), DseConfig::default(), &[spmspv()]);
+            drive(&opts, dir, job, grid_search, |r| r.to_json())
+        }
+        m => Err(format!("unknown mode {m:?} (faults|dse)")),
+    }
 }
 
 fn main() -> ExitCode {

@@ -102,6 +102,33 @@ impl BenchOpts {
     }
 }
 
+/// The value following `flag` in a bench target's arguments. The error
+/// names the flag, so every target reports a missing or malformed value
+/// the same way.
+///
+/// # Errors
+///
+/// `"{flag} needs a value"` when the arguments end first.
+pub fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed.
+///
+/// # Errors
+///
+/// As [`flag_value`], or `"{flag}: {error}"` when it does not parse.
+pub fn parse_flag<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = flag_value(args, flag)?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 /// The observability section printed when a sweep ran with
 /// `--trace-dir`: per-domain mean load latency, PE utilization, and the
 /// busiest-link token count of every traced point, followed by the trace

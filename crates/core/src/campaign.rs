@@ -36,11 +36,13 @@
 //! workload, index)` and every simulation is deterministic, so the same
 //! seed and plan reproduce a byte-identical resilience report. Campaigns
 //! journal per-injection records through [`crate::jsonl`], making long
-//! sweeps kill-and-resume safe exactly like DSE searches.
+//! sweeps kill-and-resume safe exactly like DSE searches. As a
+//! [`CampaignJob`], a campaign also runs sharded across worker processes
+//! through [`crate::shard`].
 
 use crate::jsonl::{self, JsonlFile};
 use crate::runner::{parallel_map, RetryPolicy, RunErrorKind};
-use crate::shard::{self, ShardOptions, WorkerStats};
+use crate::shard::{Incomplete, ShardJob};
 use crate::{Compiled, Heuristic, PipelineError, SimOptions, SystemConfig};
 use nupea_fabric::{DomainId, Fabric, PeId};
 use nupea_kernels::workloads::{all_workloads, Scale, Workload};
@@ -50,8 +52,7 @@ use nupea_sim::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// What the system did about one injected fault (see the
@@ -491,14 +492,8 @@ pub enum CampaignError {
     /// Journal I/O failed.
     Io(std::io::Error),
     /// A sharded merge found no record for an injection — the shard set
-    /// was merged before every shard finished (see
-    /// [`FaultCampaign::merge_sharded`]).
-    Incomplete {
-        /// The workload missing a record.
-        workload: String,
-        /// The injection index missing a record.
-        index: u32,
-    },
+    /// was merged before every shard finished (see [`crate::shard::merge`]).
+    Incomplete(Incomplete),
 }
 
 impl fmt::Display for CampaignError {
@@ -508,12 +503,7 @@ impl fmt::Display for CampaignError {
                 write!(f, "golden run failed for {workload}: {error}")
             }
             CampaignError::Io(e) => write!(f, "journal i/o: {e}"),
-            CampaignError::Incomplete { workload, index } => {
-                write!(
-                    f,
-                    "sharded merge incomplete: no record for {workload} injection {index}"
-                )
-            }
+            CampaignError::Incomplete(e) => write!(f, "{e}"),
         }
     }
 }
@@ -523,7 +513,7 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Golden { error, .. } => Some(error),
             CampaignError::Io(e) => Some(e),
-            CampaignError::Incomplete { .. } => None,
+            CampaignError::Incomplete(_) => None,
         }
     }
 }
@@ -531,6 +521,12 @@ impl std::error::Error for CampaignError {
 impl From<std::io::Error> for CampaignError {
     fn from(e: std::io::Error) -> Self {
         CampaignError::Io(e)
+    }
+}
+
+impl From<Incomplete> for CampaignError {
+    fn from(e: Incomplete) -> Self {
+        CampaignError::Incomplete(e)
     }
 }
 
@@ -661,154 +657,6 @@ impl FaultCampaign {
         } else {
             self.workloads.clone()
         }
-    }
-
-    /// The stable shard of one injection: FNV-1a over
-    /// `"{workload};i{index};s{seed}"` mod the shard count — a pure
-    /// function of the plan, so every worker partitions identically.
-    fn injection_shard(&self, workload: &str, index: u32, shards: u32) -> u32 {
-        let key = format!("{workload};i{index};s{}", self.cfg.seed);
-        shard::shard_of(jsonl::fnv1a(key.as_bytes()), shards)
-    }
-
-    /// Run one worker against a sharded campaign rooted at `dir`
-    /// (coordination journal plus one result journal per shard — see
-    /// [`crate::shard`]). Any number of processes may call this
-    /// concurrently with the same config and distinct
-    /// [`ShardOptions::worker`] ids; each returns once every shard is
-    /// done. Goldens are computed lazily per workload per worker, so a
-    /// worker that finds all shards done — or only replays journaled
-    /// records — performs zero simulation. Within a shard, records are
-    /// replayed keyed `(workload, index)` guarded by the plan seed; a
-    /// shard directory belongs to one campaign configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Golden`] when a fault-free baseline fails,
-    /// [`CampaignError::Io`] on journal I/O errors.
-    pub fn run_shard_worker(
-        &self,
-        dir: &Path,
-        opts: &ShardOptions,
-    ) -> Result<WorkerStats, CampaignError> {
-        let workloads = self.resolved_workloads();
-        let plan = FaultPlan::new(self.cfg.seed, self.cfg.classes);
-        let mut goldens: Vec<Option<Golden>> = (0..workloads.len()).map(|_| None).collect();
-        let mut golden_err: Option<CampaignError> = None;
-        let stats = shard::run_worker(&shard::coord_path(dir), opts, |ctx| {
-            let s = ctx.shard();
-            let (mut jf, lines) = JsonlFile::open(shard::shard_journal(dir, s))?;
-            let mut have: HashMap<(String, u32), ()> = HashMap::new();
-            for line in &lines {
-                if let Some((seed, rec)) = InjectionRecord::parse_line(line) {
-                    if seed == self.cfg.seed {
-                        have.insert((rec.workload, rec.index), ());
-                    }
-                }
-            }
-            for (wi, w) in workloads.iter().enumerate() {
-                for index in 0..self.cfg.injections {
-                    if self.injection_shard(w.name, index, opts.shards) != s
-                        || have.contains_key(&(w.name.to_string(), index))
-                    {
-                        continue;
-                    }
-                    if goldens[wi].is_none() {
-                        match self.golden(w) {
-                            Ok(g) => goldens[wi] = Some(g),
-                            Err(e) => {
-                                golden_err = Some(e);
-                                return Err(io::Error::other("golden baseline failed"));
-                            }
-                        }
-                    }
-                    let g = goldens[wi].as_ref().expect("golden just computed");
-                    let kind = plan.sample(g.workload.name, index, &g.ctx);
-                    let rec = self.classify(g, index, kind);
-                    jf.append(&shard::tag_line(
-                        &rec.to_line(self.cfg.seed),
-                        s,
-                        ctx.epoch(),
-                    ))?;
-                    if !ctx.checkpoint()? {
-                        // Fenced: another worker owns this shard now; our
-                        // stale-epoch rows lose the merge. Stop writing.
-                        return Ok(());
-                    }
-                }
-            }
-            jf.sync()
-        });
-        match stats {
-            Ok(st) => Ok(st),
-            Err(e) => Err(golden_err.unwrap_or(CampaignError::Io(e))),
-        }
-    }
-
-    /// Merge a sharded campaign's per-shard journals into the resilience
-    /// report. Pure journal I/O — zero simulation. The merge is a
-    /// deterministic fold ([`crate::shard::merge_by_key`]): per
-    /// `(workload, index)` the highest-epoch record wins (fencing out
-    /// stale workers' rows), and records are emitted in the same
-    /// canonical order the single-process [`FaultCampaign::run`] uses —
-    /// so for the same seed the merged report is byte-identical to the
-    /// `shards = 1` report, regardless of worker count, death order, or
-    /// steal interleaving.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Incomplete`] when an injection has no record
-    /// (some shard has not finished), [`CampaignError::Io`] on journal
-    /// I/O errors.
-    pub fn merge_sharded(&self, dir: &Path, shards: u32) -> Result<CampaignReport, CampaignError> {
-        let workloads = self.resolved_workloads();
-        let mut all = Vec::new();
-        for s in 0..shards.max(1) {
-            let (_, lines) = JsonlFile::open(shard::shard_journal(dir, s))?;
-            all.extend(lines);
-        }
-        let merged = shard::merge_by_key(all, |l| {
-            let (seed, rec) = InjectionRecord::parse_line(l)?;
-            (seed == self.cfg.seed).then_some((rec.workload, rec.index))
-        });
-        let mut records = Vec::new();
-        for w in &workloads {
-            for index in 0..self.cfg.injections {
-                let line = merged.get(&(w.name.to_string(), index)).ok_or_else(|| {
-                    CampaignError::Incomplete {
-                        workload: w.name.to_string(),
-                        index,
-                    }
-                })?;
-                let (_, rec) = InjectionRecord::parse_line(line).expect("keyed lines parse");
-                records.push(rec);
-            }
-        }
-        Ok(CampaignReport {
-            seed: self.cfg.seed,
-            records,
-        })
-    }
-
-    /// The sharded campaign entry point: degrade to the single-process
-    /// [`FaultCampaign::run`] when `opts.shards <= 1`; otherwise work as
-    /// one worker until every shard is done (joining or resuming any
-    /// workers already running against `dir`), then merge.
-    ///
-    /// # Errors
-    ///
-    /// As [`FaultCampaign::run_shard_worker`] and
-    /// [`FaultCampaign::merge_sharded`].
-    pub fn run_sharded(
-        &self,
-        dir: &Path,
-        opts: &ShardOptions,
-    ) -> Result<CampaignReport, CampaignError> {
-        if opts.shards <= 1 {
-            return self.run();
-        }
-        self.run_shard_worker(dir, opts)?;
-        self.merge_sharded(dir, opts.shards)
     }
 
     /// Compile and run one workload fault-free; derive the plan context
@@ -956,6 +804,100 @@ impl FaultCampaign {
                 rec.recovery = RecoveryOutcome::StillWrong;
             }
         }
+    }
+}
+
+/// A [`FaultCampaign`] as a sharded job ([`crate::shard`]): one item per
+/// `(workload, injection index)`, in report order, with one journal row
+/// each. An item's shard key is `"{workload};i{index};s{seed}"`, and
+/// rows from another seed are not the job's. Goldens are computed
+/// lazily per workload, so a worker that finds every shard done — or
+/// only replays journaled rows — performs zero simulation. A shard
+/// directory belongs to one campaign configuration.
+pub struct CampaignJob {
+    campaign: FaultCampaign,
+    workloads: Vec<Workload>,
+    plan: FaultPlan,
+    goldens: Vec<Option<Golden>>,
+}
+
+impl CampaignJob {
+    /// The sharded job of `campaign`.
+    #[must_use]
+    pub fn new(campaign: FaultCampaign) -> Self {
+        let workloads = campaign.resolved_workloads();
+        CampaignJob {
+            plan: FaultPlan::new(campaign.cfg.seed, campaign.cfg.classes),
+            goldens: workloads.iter().map(|_| None).collect(),
+            workloads,
+            campaign,
+        }
+    }
+}
+
+impl ShardJob for CampaignJob {
+    /// Workload position and injection index.
+    type Item = (usize, u32);
+    type Report = CampaignReport;
+    type Error = CampaignError;
+
+    fn items(&self) -> Vec<(usize, u32)> {
+        let injections = self.campaign.cfg.injections;
+        (0..self.workloads.len())
+            .flat_map(|w| (0..injections).map(move |index| (w, index)))
+            .collect()
+    }
+
+    fn shard_key(&self, &(w, index): &(usize, u32)) -> String {
+        let seed = self.campaign.cfg.seed;
+        format!("{};i{index};s{seed}", self.workloads[w].name)
+    }
+
+    fn row_key(&self, row: &str) -> Option<(usize, u32)> {
+        let (seed, rec) = InjectionRecord::parse_line(row)?;
+        let w = self.workloads.iter().position(|w| w.name == rec.workload)?;
+        (seed == self.campaign.cfg.seed).then_some((w, rec.index))
+    }
+
+    /// Goldens first, one per workload the batch needs and not yet
+    /// computed, then the injections, each phase over the campaign's
+    /// threads as in [`FaultCampaign::run`].
+    fn evaluate(&mut self, items: &[(usize, u32)]) -> Result<Vec<String>, CampaignError> {
+        let threads = match self.campaign.cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
+        };
+        let mut missing: Vec<usize> = items.iter().map(|&(w, _)| w).collect();
+        missing.sort_unstable();
+        missing.dedup();
+        missing.retain(|&w| self.goldens[w].is_none());
+        let (campaign, workloads) = (&self.campaign, &self.workloads);
+        let fresh = parallel_map(threads, missing.len(), |i| {
+            campaign.golden(&workloads[missing[i]])
+        });
+        for (&w, g) in missing.iter().zip(fresh) {
+            self.goldens[w] = Some(g?);
+        }
+        let (plan, goldens, seed) = (&self.plan, &self.goldens, self.campaign.cfg.seed);
+        Ok(parallel_map(threads, items.len(), |i| {
+            let (w, index) = items[i];
+            let g = goldens[w].as_ref().expect("golden computed above");
+            let kind = plan.sample(g.workload.name, index, &g.ctx);
+            campaign.classify(g, index, kind).to_line(seed)
+        }))
+    }
+
+    fn fold(&self, rows: Vec<String>) -> Result<CampaignReport, CampaignError> {
+        let record = |row: &String| {
+            InjectionRecord::parse_line(row)
+                .expect("keyed rows parse")
+                .1
+        };
+        let records = rows.iter().map(record).collect();
+        Ok(CampaignReport {
+            seed: self.campaign.cfg.seed,
+            records,
+        })
     }
 }
 

@@ -42,7 +42,8 @@ pub mod shard;
 
 pub use cache::{config_hash, config_key, ArtifactCache, CacheStats};
 pub use campaign::{
-    CampaignConfig, CampaignReport, FaultCampaign, InjectionRecord, OutcomeClass, RecoveryOutcome,
+    CampaignConfig, CampaignJob, CampaignReport, FaultCampaign, InjectionRecord, OutcomeClass,
+    RecoveryOutcome,
 };
 pub use nupea_fabric::{Fabric, PeId, TopologyKind};
 pub use nupea_kernels::workloads::{
@@ -59,7 +60,7 @@ pub use runner::{
     ExperimentRunner, RetryPolicy, RunErrorKind, RunRecord, RunnerReport, SystemHandle,
     WorkloadHandle,
 };
-pub use shard::{Coordinator, Lease, ShardCtx, ShardOptions, ShardState, WorkerStats};
+pub use shard::{ShardCtx, ShardOptions, WorkerStats};
 
 use nupea_pnr::{pnr, PlaceConfig, PnrConfig};
 use nupea_sim::{Engine, MemParams, SimConfig};

@@ -439,11 +439,9 @@ impl RetryPolicy {
 
     /// The capped-exponential value for attempt `attempt` starting from
     /// `base` (attempt 0 = `base` itself, attempt n = `base × factorⁿ`).
-    /// All arithmetic saturates, so arbitrarily high attempt counts —
-    /// e.g. a shard worker backing off on lease contention for hours —
-    /// plateau at `u64::MAX` instead of overflowing. Used both for cycle
-    /// caps (see `simulate_point`) and for lease-acquisition delays in
-    /// `nupea::shard`.
+    /// All arithmetic saturates, so arbitrarily high attempt counts
+    /// plateau at `u64::MAX` instead of overflowing. Used for cycle caps
+    /// (see `simulate_point` and the fault campaign's hang re-checks).
     #[must_use]
     pub fn backoff_cap(&self, base: u64, attempt: u32) -> u64 {
         let factor = match *self {

@@ -1,12 +1,14 @@
 //! Crash-tolerant multi-process sharding over the JSONL journals.
 //!
-//! The DSE and fault-campaign subsystems already survive `kill -9` inside
-//! one process: every result is journaled append-only and replayed on
-//! restart. This module removes the remaining single point of failure —
-//! one process owning the whole candidate/injection space — by turning
-//! the journals into a lease-based work queue that any number of worker
-//! processes can drain concurrently, with work stealing when a worker
-//! dies and a deterministic merge at the end.
+//! A [`ShardJob`] is a list of work items, each evaluated into one
+//! journal row. This module is its one driver: [`work`] turns the
+//! per-shard journals into a lease-based work queue that any number of
+//! worker processes drain concurrently, with work stealing when a worker
+//! dies; [`merge`] folds the journals into the job's report; and
+//! [`run_sharded`] does both, or fills one journal itself at
+//! `shards <= 1`. Fault campaigns ([`crate::campaign::CampaignJob`]) and
+//! full-grid DSE searches (`nupea_dse::GridJob`) are the two jobs; they
+//! supply only their items, keys, evaluation and report.
 //!
 //! # Protocol
 //!
@@ -33,6 +35,10 @@
 //! shards are stolen one TTL after its last heartbeat, at a higher
 //! epoch. The stale worker (if merely stalled, not dead) discovers the
 //! fence on its next [`ShardCtx::checkpoint`] and abandons the shard.
+//! Rows go to the shard's journal `shard-NNNN.jsonl`. The job learns the
+//! rows the journal already holds ([`ShardJob::replay`]) and is never
+//! asked for them again, so a resumed or stolen shard only evaluates
+//! what is missing.
 //!
 //! Claims and dones are written with [`JsonlFile::append_durable`]
 //! (fsync before visible): a claim another worker may act on must
@@ -42,28 +48,33 @@
 //! # Merge determinism
 //!
 //! Result-journal lines are tagged with their shard and epoch
-//! ([`tag_line`]) and checksummed. [`merge_by_key`] folds any multiset
+//! ([`tag_line`]) and checksummed. The merge folds any multiset
 //! of per-shard journal lines into one winner per key: highest epoch
 //! wins, ties go to the lexicographically smallest line. That rule is a
 //! pure function of the *set* of records — permutation-invariant and
 //! duplicate-proof — so a stolen-and-reexecuted shard (same rows twice,
 //! possibly at two epochs) merges to exactly what a single-process run
 //! produces, regardless of worker count, death order, or steal
-//! interleaving. Callers then emit winners in their canonical order
-//! (workload declaration order × injection index for campaigns; frontier
-//! sort for DSE), which makes the merged reports byte-identical to the
-//! `shards = 1` outputs.
+//! interleaving. [`merge`] then folds the winners in the job's item
+//! order, which makes the merged reports byte-identical to the
+//! `shards = 1` outputs. A corrupt row fails the merge as corruption; an
+//! item with no row fails it as [`Incomplete`].
 //!
 //! See `DESIGN.md` §11 for the full protocol rationale and timing rules.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::jsonl::{self, JsonlFile};
-use crate::runner::RetryPolicy;
+
+/// Base of the delay after lost claim races, in milliseconds: the n-th
+/// race lost in a row sleeps `CLAIM_BACKOFF_MS · 2ⁿ` (4 ms after the
+/// first loss), capped at one heartbeat.
+const CLAIM_BACKOFF_MS: u64 = 2;
 
 /// Milliseconds since the Unix epoch — the protocol's wall clock. Lease
 /// deadlines compare wall-clock times across processes on one host;
@@ -141,6 +152,18 @@ pub fn coord_path(dir: &Path) -> PathBuf {
     dir.join("coord.jsonl")
 }
 
+/// The workers that appended shard claims to the coordination journal of
+/// the run rooted at `dir`, in file order, lost races included. A torn
+/// tail line is not counted yet. Chaos harnesses pace their kills by it.
+#[must_use]
+pub fn claimers(dir: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(coord_path(dir)).unwrap_or_default();
+    text.lines()
+        .filter(|line| jsonl::string_field(line, "rec").as_deref() == Some("claim"))
+        .filter_map(|line| jsonl::string_field(line, "worker"))
+        .collect()
+}
+
 /// Shard `shard`'s result journal in a sharded run rooted at `dir`.
 #[must_use]
 pub fn shard_journal(dir: &Path, shard: u32) -> PathBuf {
@@ -149,7 +172,7 @@ pub fn shard_journal(dir: &Path, shard: u32) -> PathBuf {
 
 /// Tag a result-journal line with the shard and epoch that produced it
 /// and append a checksum. Parsers ignore the extra fields; the merge
-/// layer ([`merge_by_key`]) uses the epoch to fence out stale writers.
+/// layer ([`merge`]) uses the epoch to fence out stale writers.
 #[must_use]
 pub fn tag_line(line: &str, shard: u32, epoch: u64) -> String {
     let Some(body) = line.strip_suffix('}') else {
@@ -160,8 +183,7 @@ pub fn tag_line(line: &str, shard: u32, epoch: u64) -> String {
 
 /// The epoch a journal line was written at (0 for untagged lines, which
 /// sorts below every real epoch — single-process journals merge fine).
-#[must_use]
-pub fn line_epoch(line: &str) -> u64 {
+fn line_epoch(line: &str) -> u64 {
     jsonl::u64_field(line, "epoch").unwrap_or(0)
 }
 
@@ -171,7 +193,7 @@ pub fn line_epoch(line: &str) -> u64 {
 /// line multiset — permutation-invariant, so merged outputs cannot
 /// depend on worker count or death order. Lines `key_of` cannot key
 /// (torn tails, foreign records) are skipped.
-pub fn merge_by_key<K: Hash + Eq>(
+fn merge_by_key<K: Hash + Eq>(
     lines: impl IntoIterator<Item = String>,
     mut key_of: impl FnMut(&str) -> Option<K>,
 ) -> HashMap<K, String> {
@@ -199,8 +221,8 @@ pub fn merge_by_key<K: Hash + Eq>(
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
     /// Number of shards the work-item space is partitioned into.
-    /// `shards <= 1` means the sharded entry points degrade to the
-    /// single-process path (no coordination journal at all).
+    /// At `shards <= 1`, [`run_sharded`] fills `shard-0000.jsonl` in
+    /// process, with no coordination journal at all.
     pub shards: u32,
     /// Unique worker id (unique per *live* process — the protocol fences
     /// by `(worker, epoch)`, so a reused id from a dead worker is safe,
@@ -213,11 +235,6 @@ pub struct ShardOptions {
     /// Heartbeat interval — how often a running worker renews its lease
     /// via [`ShardCtx::checkpoint`]. Keep well under `ttl_ms`.
     pub heartbeat_ms: u64,
-    /// Backoff for lease-acquisition contention: after losing a claim
-    /// race, the worker sleeps `backoff_cap(2ms, attempt)` (capped at one
-    /// heartbeat) before rescanning. Saturating arithmetic, so unbounded
-    /// contention plateaus instead of overflowing.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ShardOptions {
@@ -227,10 +244,6 @@ impl Default for ShardOptions {
             worker: format!("w{}", std::process::id()),
             ttl_ms: 10_000,
             heartbeat_ms: 2_500,
-            retry: RetryPolicy::Backoff {
-                factor: 2,
-                max_retries: 10,
-            },
         }
     }
 }
@@ -248,35 +261,35 @@ impl ShardOptions {
 
 /// Folded coordination state of one shard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardState {
+struct ShardState {
     /// Highest accepted claim epoch (0 = never claimed).
-    pub epoch: u64,
+    epoch: u64,
     /// Worker holding the current lease.
-    pub owner: String,
+    owner: String,
     /// Lease deadline (ms since epoch); past it the shard is stealable.
-    pub deadline_ms: u64,
+    deadline_ms: u64,
     /// The shard's results are fully journaled.
-    pub done: bool,
+    done: bool,
 }
 
-/// A lease one worker holds on one shard at one epoch. Appends to the
-/// shard's result journal should be tagged `tag_line(line, shard, epoch)`
+/// A lease one worker holds on one shard at one epoch. Rows appended to
+/// the shard's result journal are tagged `tag_line(line, shard, epoch)`
 /// so the merge can fence out records written after the lease was lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lease {
+struct Lease {
     /// The leased shard.
-    pub shard: u32,
+    shard: u32,
     /// The claim epoch — strictly increases across steals.
-    pub epoch: u64,
+    epoch: u64,
     /// The holder's worker id.
-    pub worker: String,
+    worker: String,
 }
 
 /// The coordination journal plus its folded per-shard state. All methods
 /// that consult deadlines take an explicit `now_ms` so the protocol is
 /// unit-testable with a synthetic clock; live callers pass [`now_ms`]`()`.
 #[derive(Debug)]
-pub struct Coordinator {
+struct Coordinator {
     path: PathBuf,
     file: JsonlFile,
     shards: u32,
@@ -286,11 +299,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Open (or create) the coordination journal at `path` for an
     /// `shards`-way partition and fold the existing records.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors opening or reading the journal.
-    pub fn open(path: impl Into<PathBuf>, shards: u32) -> io::Result<Self> {
+    fn open(path: impl Into<PathBuf>, shards: u32) -> io::Result<Self> {
         let path = path.into();
         let mut c = Coordinator {
             path,
@@ -304,11 +313,7 @@ impl Coordinator {
 
     /// Re-read the journal and re-fold all shard states. Call before any
     /// decision that depends on other workers' appends.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors re-reading the journal.
-    pub fn reload(&mut self) -> io::Result<()> {
+    fn reload(&mut self) -> io::Result<()> {
         let (file, lines) = JsonlFile::open(&self.path)?;
         self.file = file;
         self.states = vec![ShardState::default(); self.shards as usize];
@@ -355,34 +360,16 @@ impl Coordinator {
         }
     }
 
-    /// Number of shards this coordinator partitions over.
-    #[must_use]
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Folded state of `shard` (as of the last [`Coordinator::reload`]).
-    #[must_use]
-    pub fn state(&self, shard: u32) -> &ShardState {
-        &self.states[shard as usize]
-    }
-
     /// Every shard is done (as of the last reload).
     #[must_use]
-    pub fn all_done(&self) -> bool {
+    fn all_done(&self) -> bool {
         self.states.iter().all(|s| s.done)
-    }
-
-    /// Shards not yet done (as of the last reload).
-    #[must_use]
-    pub fn remaining(&self) -> u32 {
-        u32::try_from(self.states.iter().filter(|s| !s.done).count()).unwrap_or(u32::MAX)
     }
 
     /// `shard` may be claimed at `now`: not done, and never claimed or
     /// lease-expired.
     #[must_use]
-    pub fn claimable(&self, shard: u32, now: u64) -> bool {
+    fn claimable(&self, shard: u32, now: u64) -> bool {
         let st = &self.states[shard as usize];
         !st.done && (st.epoch == 0 || now > st.deadline_ms)
     }
@@ -391,11 +378,7 @@ impl Coordinator {
     /// Durably appends a claim at the next epoch, then re-reads to see
     /// who won the race (file order decides). Returns the lease on win,
     /// `None` on a lost race or a shard that stopped being claimable.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors appending to or re-reading the journal.
-    pub fn try_claim(
+    fn try_claim(
         &mut self,
         shard: u32,
         worker: &str,
@@ -425,11 +408,7 @@ impl Coordinator {
     /// Renew `lease` with a fresh `ttl_ms` deadline. Returns `false` —
     /// without appending — when the lease has been fenced (another
     /// worker claimed a higher epoch): the caller must abandon the shard.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors appending to or re-reading the journal.
-    pub fn renew(&mut self, lease: &Lease, ttl_ms: u64, now: u64) -> io::Result<bool> {
+    fn renew(&mut self, lease: &Lease, ttl_ms: u64, now: u64) -> io::Result<bool> {
         self.reload()?;
         if !self.holds(lease) {
             return Ok(false);
@@ -449,11 +428,7 @@ impl Coordinator {
     /// Record `lease`'s shard as done (its results are fully journaled
     /// and synced). Returns `false` when the lease was fenced first — the
     /// usurper owns the shard now and will finish it itself.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors appending to or re-reading the journal.
-    pub fn mark_done(&mut self, lease: &Lease) -> io::Result<bool> {
+    fn mark_done(&mut self, lease: &Lease) -> io::Result<bool> {
         self.reload()?;
         if !self.holds(lease) {
             return Ok(false);
@@ -564,12 +539,13 @@ impl ShardCtx<'_> {
 /// on it, and mark it done, until every shard is done. Blocks (sleeping
 /// one heartbeat between scans) while other live workers hold unfinished
 /// shards, and steals their shards if their leases expire. Returns when
-/// [`Coordinator::all_done`] — so any single surviving worker finishes
-/// the whole queue.
+/// every shard is done — so any single surviving worker finishes the
+/// whole queue. `shards: 0` is treated as 1, as [`shard_of`] does.
 ///
 /// `body` receives a [`ShardCtx`] and must: replay/append the shard's
 /// result journal idempotently, call [`ShardCtx::checkpoint`] between
 /// work items, and return early (Ok) if checkpoint reports fencing.
+/// [`work`] is this loop with the body every [`ShardJob`] shares.
 ///
 /// # Errors
 ///
@@ -580,12 +556,13 @@ pub fn run_worker(
     opts: &ShardOptions,
     mut body: impl FnMut(&mut ShardCtx) -> io::Result<()>,
 ) -> io::Result<WorkerStats> {
-    let mut coord = Coordinator::open(coord_path, opts.shards)?;
+    let shards = opts.shards.max(1);
+    let mut coord = Coordinator::open(coord_path, shards)?;
     let clock = SystemClock::new();
     let mut stats = WorkerStats::default();
     // Start the scan at a worker-dependent offset so a fleet starting
     // simultaneously doesn't stampede shard 0.
-    let offset = shard_of(jsonl::fnv1a(opts.worker.as_bytes()), opts.shards);
+    let offset = shard_of(jsonl::fnv1a(opts.worker.as_bytes()), shards);
     let mut contention: u32 = 0;
     loop {
         coord.reload()?;
@@ -593,8 +570,8 @@ pub fn run_worker(
             return Ok(stats);
         }
         let now = clock.wall_ms();
-        let claimable = (0..opts.shards)
-            .map(|i| (i + offset) % opts.shards)
+        let claimable = (0..shards)
+            .map(|i| (i + offset) % shards)
             .find(|&s| coord.claimable(s, now));
         let Some(shard) = claimable else {
             // Other workers hold every unfinished shard: wait for one to
@@ -606,7 +583,9 @@ pub fn run_worker(
             // Lost the race: back off (capped at one heartbeat) and rescan.
             stats.lost_races += 1;
             contention = contention.saturating_add(1);
-            let delay = opts.retry.backoff_cap(2, contention).min(opts.heartbeat_ms);
+            let delay = CLAIM_BACKOFF_MS
+                .saturating_mul(2u64.saturating_pow(contention))
+                .min(opts.heartbeat_ms);
             std::thread::sleep(Duration::from_millis(delay.max(1)));
             continue;
         };
@@ -638,9 +617,235 @@ pub fn run_worker(
     }
 }
 
+/// A job the shard driver runs ([`run_sharded`], [`work`], [`merge`]).
+/// The job supplies only what differs between jobs — its items, their
+/// keys, how to evaluate them, and how to report — while the driver owns
+/// the journals, leases, fencing and merge rules of DESIGN.md §11.
+pub trait ShardJob {
+    /// A work item. It is also the merge key of the one result row it
+    /// evaluates to.
+    type Item: Hash + Eq;
+    /// What the merged rows fold into.
+    type Report;
+    /// The job's error; journal I/O errors and incomplete merges
+    /// convert into it.
+    type Error: From<io::Error> + From<Incomplete>;
+
+    /// Every item, in report order.
+    fn items(&self) -> Vec<Self::Item>;
+
+    /// The string whose FNV-1a hash picks `item`'s shard. Journals
+    /// written under one shard key only resume under the same one.
+    fn shard_key(&self, item: &Self::Item) -> String;
+
+    /// The item a journal row is the result of, or `None` for a row this
+    /// job does not own (a torn tail, another seed or search space).
+    fn row_key(&self, row: &str) -> Option<Self::Item>;
+
+    /// Learn the rows a shard's journal already holds, before the
+    /// shard's missing items are evaluated. A job that evaluates several
+    /// items together (a DSE candidate against every workload) keeps
+    /// them, so it does not evaluate a held item again along with a
+    /// missing one. The default ignores them.
+    fn replay(&mut self, _rows: &[String]) {}
+
+    /// Evaluate a batch of items into one result row each, in order;
+    /// a row is a flat JSON object. A `shards <= 1` run passes every
+    /// missing item in one batch, so the job may evaluate them in
+    /// parallel; a sharded worker passes one item at a time and
+    /// heartbeats in between.
+    ///
+    /// # Errors
+    ///
+    /// Failures that stop the whole job; an item's own failure belongs
+    /// in its row.
+    fn evaluate(&mut self, items: &[Self::Item]) -> Result<Vec<String>, Self::Error>;
+
+    /// Fold the winning rows, one per item in [`ShardJob::items`] order,
+    /// into the report.
+    ///
+    /// # Errors
+    ///
+    /// The job's own reporting failures.
+    fn fold(&self, rows: Vec<String>) -> Result<Self::Report, Self::Error>;
+}
+
+/// A merge found an item with no result row: its shard has not finished.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Incomplete {
+    /// The item's shard key ([`ShardJob::shard_key`]).
+    pub item: String,
+    /// The shard that owes the row.
+    pub shard: u32,
+}
+
+impl fmt::Display for Incomplete {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sharded merge incomplete: no row for {} (shard {})",
+            self.item, self.shard
+        )
+    }
+}
+
+impl std::error::Error for Incomplete {}
+
+impl From<Incomplete> for io::Error {
+    fn from(e: Incomplete) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// The shard of `item` in a `shards`-way split.
+fn item_shard<J: ShardJob>(job: &J, item: &J::Item, shards: u32) -> u32 {
+    shard_of(jsonl::fnv1a(job.shard_key(item).as_bytes()), shards)
+}
+
+/// Evaluate into `shard`'s journal every item of that shard the journal
+/// does not hold yet, `batch` items per [`ShardJob::evaluate`] call, and
+/// tag each row with `(shard, epoch)`. `held` is asked after every
+/// batch; once it reports the lease fenced, the rest is left to the new
+/// owner. A finished shard's journal is synced before this returns, so
+/// its `done` record never covers unsynced rows.
+fn fill<J: ShardJob>(
+    job: &mut J,
+    dir: &Path,
+    shard: u32,
+    shards: u32,
+    epoch: u64,
+    batch: usize,
+    mut held: impl FnMut() -> io::Result<bool>,
+) -> Result<(), J::Error> {
+    let (mut journal, rows) = JsonlFile::open(shard_journal(dir, shard))?;
+    let have: HashSet<J::Item> = rows.iter().filter_map(|row| job.row_key(row)).collect();
+    job.replay(&rows);
+    let todo: Vec<J::Item> = job
+        .items()
+        .into_iter()
+        .filter(|item| item_shard(job, item, shards) == shard && !have.contains(item))
+        .collect();
+    for items in todo.chunks(batch.max(1)) {
+        for row in job.evaluate(items)? {
+            journal.append(&tag_line(&row, shard, epoch))?;
+        }
+        if !held()? {
+            // Fenced: another worker owns this shard now, and our
+            // stale-epoch rows lose the merge. Stop writing.
+            return Ok(());
+        }
+    }
+    Ok(journal.sync()?)
+}
+
+/// Work as one worker of a sharded run of `job` rooted at `dir` (the
+/// coordination journal plus one result journal per shard): claim
+/// shards, fill each, and return once every shard is done — including
+/// shards other workers finish. Any number of processes may call this
+/// concurrently with the same job and distinct [`ShardOptions::worker`]
+/// ids; a worker that finds every shard done evaluates nothing.
+///
+/// # Errors
+///
+/// The first error `job` returns, or journal I/O errors.
+pub fn work<J: ShardJob>(
+    job: &mut J,
+    dir: &Path,
+    opts: &ShardOptions,
+) -> Result<WorkerStats, J::Error> {
+    let shards = opts.shards.max(1);
+    let mut failed = None;
+    let stats = run_worker(&coord_path(dir), opts, |ctx| {
+        let (shard, epoch) = (ctx.shard(), ctx.epoch());
+        fill(job, dir, shard, shards, epoch, 1, || ctx.checkpoint()).map_err(|e| {
+            failed = Some(e);
+            io::Error::other("sharded job failed")
+        })
+    });
+    stats.map_err(|e| failed.unwrap_or_else(|| e.into()))
+}
+
+/// Merge the result journals of a `shards`-way run rooted at `dir` into
+/// `job`'s report. Per item the highest-epoch row wins, and the winners
+/// fold in item order, so the report is byte-identical to a
+/// single-process run however the rows were written. Pure journal I/O:
+/// nothing is evaluated.
+///
+/// # Errors
+///
+/// `InvalidData` naming the journal and its first corrupt line when a
+/// row fails its checksum; [`Incomplete`] when an item has no row; other
+/// journal I/O errors; and the errors of [`ShardJob::fold`].
+pub fn merge<J: ShardJob>(job: &J, dir: &Path, shards: u32) -> Result<J::Report, J::Error> {
+    let shards = shards.max(1);
+    let mut rows = Vec::new();
+    for shard in 0..shards {
+        let path = shard_journal(dir, shard);
+        let (file, lines) = JsonlFile::open(&path)?;
+        if let Some(c) = file.corruption() {
+            let msg = format!(
+                "{}: {} corrupt row(s), first at line {}",
+                path.display(),
+                c.count,
+                c.first_line
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg).into());
+        }
+        rows.extend(lines);
+    }
+    let mut winners = merge_by_key(rows, |row| job.row_key(row));
+    let mut report_rows = Vec::new();
+    for item in job.items() {
+        let Some(row) = winners.remove(&item) else {
+            return Err(Incomplete {
+                shard: item_shard(job, &item, shards),
+                item: job.shard_key(&item),
+            }
+            .into());
+        };
+        report_rows.push(row);
+    }
+    job.fold(report_rows)
+}
+
+/// Run `job` to its report over the run directory `dir`. At
+/// `opts.shards <= 1` the process fills `shard-0000.jsonl` itself, in one
+/// batch and with no leases and no coordination journal; otherwise it
+/// [`work`]s as one worker until every shard is done, joining or
+/// resuming any workers already running on `dir`. Either way a rerun over the same `dir`
+/// evaluates nothing, and the report comes from [`merge`].
+///
+/// # Errors
+///
+/// As [`work`] and [`merge`].
+pub fn run_sharded<J: ShardJob>(
+    job: &mut J,
+    dir: &Path,
+    opts: &ShardOptions,
+) -> Result<J::Report, J::Error> {
+    if opts.shards <= 1 {
+        fill(job, dir, 0, 1, 0, usize::MAX, || Ok(true))?;
+    } else {
+        work(job, dir, opts)?;
+    }
+    merge(job, dir, opts.shards)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Coordinator {
+        /// Folded state of `shard` (as of the last reload).
+        fn state(&self, shard: u32) -> &ShardState {
+            &self.states[shard as usize]
+        }
+
+        /// Shards not yet done (as of the last reload).
+        fn remaining(&self) -> u32 {
+            u32::try_from(self.states.iter().filter(|s| !s.done).count()).unwrap_or(u32::MAX)
+        }
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nupea-shard-{}-{name}", std::process::id()));
@@ -766,6 +971,12 @@ mod tests {
         assert!(lost.is_none(), "wb's same-epoch claim is fenced");
         a.reload().unwrap();
         assert_eq!(a.state(0).owner, "wa");
+        // A same-epoch claim that was appended second loses at fold, but
+        // still counts as a claim in file order.
+        b.append_record("claim", 0, 1, "wb", Some(1_000)).unwrap();
+        a.reload().unwrap();
+        assert_eq!(a.state(0).owner, "wa");
+        assert_eq!(claimers(&dir), ["wa", "wb"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -778,7 +989,6 @@ mod tests {
             worker: "solo".into(),
             ttl_ms: 5_000,
             heartbeat_ms: 1,
-            ..ShardOptions::default()
         };
         let mut seen = Vec::new();
         let stats = run_worker(&path, &opts, |ctx| {
@@ -800,6 +1010,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_shard_worker_runs_one_shard_and_returns() {
+        let dir = scratch("zero");
+        let opts = ShardOptions {
+            shards: 0,
+            worker: "solo".into(),
+            heartbeat_ms: 1,
+            ..ShardOptions::default()
+        };
+        let stats = run_worker(&dir.join("coord.jsonl"), &opts, |ctx| {
+            assert_eq!(ctx.shard(), 0);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(stats.completed, 1, "0 shards is one shard, as in shard_of");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn run_worker_steals_expired_leases() {
         let dir = scratch("steal");
         let path = dir.join("coord.jsonl");
@@ -814,7 +1042,6 @@ mod tests {
             worker: "live".into(),
             ttl_ms: 5_000,
             heartbeat_ms: 1,
-            ..ShardOptions::default()
         };
         let stats = run_worker(&path, &opts, |ctx| {
             if ctx.shard() == 0 {

@@ -2,7 +2,7 @@
 //! in-process workers draining one queue, and sharded fault campaigns
 //! merging byte-identical to the single-process run.
 
-use nupea::campaign::{CampaignConfig, FaultCampaign};
+use nupea::campaign::{CampaignConfig, CampaignError, CampaignJob, FaultCampaign};
 use nupea::shard::{self, ShardOptions};
 use nupea::Scale;
 use nupea_kernels::workloads::workload_by_name;
@@ -32,7 +32,6 @@ fn concurrent_workers_drain_the_queue_exactly_once() {
                         worker: format!("t{wi}"),
                         ttl_ms: 60_000, // generous: no false steals under load
                         heartbeat_ms: 5,
-                        ..ShardOptions::default()
                     };
                     shard::run_worker(coord.as_path(), &opts, |ctx| {
                         runs.fetch_add(1, Ordering::SeqCst);
@@ -82,35 +81,79 @@ fn sharded_campaign_merges_byte_identical_to_single_process() {
     let single = small_campaign().run().unwrap().to_json();
 
     let dir = scratch("campaign");
-    let campaign = small_campaign();
+    let mut job = CampaignJob::new(small_campaign());
     let opts = ShardOptions {
         shards: 3,
         worker: "w-main".into(),
         ..ShardOptions::default()
     };
-    let merged = campaign.run_sharded(&dir, &opts).unwrap();
+    let merged = shard::run_sharded(&mut job, &dir, &opts).unwrap();
     assert_eq!(merged.to_json(), single, "merged report == shards=1 report");
 
     // Resume over the finished run: zero claims, zero simulation, and the
     // merge alone reproduces the same bytes.
-    let stats = campaign.run_shard_worker(&dir, &opts).unwrap();
+    let stats = shard::work(&mut job, &dir, &opts).unwrap();
     assert_eq!(stats.claimed, 0, "nothing left to claim on resume");
-    let remerged = campaign.merge_sharded(&dir, opts.shards).unwrap();
+    let remerged = shard::merge(&job, &dir, opts.shards).unwrap();
     assert_eq!(remerged.to_json(), single);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_row_fails_the_merge_as_corruption_not_incomplete() {
+    let dir = scratch("corrupt");
+    let mut job = CampaignJob::new(small_campaign());
+    let opts = ShardOptions {
+        shards: 3,
+        worker: "w-main".into(),
+        ..ShardOptions::default()
+    };
+    shard::run_sharded(&mut job, &dir, &opts).unwrap();
+
+    // Change one digit of the first row of the first non-empty shard
+    // journal: its checksum no longer matches.
+    let path = (0..opts.shards)
+        .map(|s| shard::shard_journal(&dir, s))
+        .find(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 0))
+        .expect("some shard journal holds rows");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let at = text.find("\"golden_cycles\":").unwrap() + "\"golden_cycles\":".len();
+    let flipped = char::from(text.as_bytes()[at] ^ 1); // another digit
+    let mut bad = text.clone();
+    bad.replace_range(at..=at, &flipped.to_string());
+    std::fs::write(&path, bad).unwrap();
+
+    let err = shard::merge(&job, &dir, opts.shards).unwrap_err();
+    let CampaignError::Io(io) = &err else {
+        panic!("corruption must not read as an unfinished shard: {err}");
+    };
+    assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let want = format!("{}: 1 corrupt row(s), first at line 1", path.display());
+    assert!(err.to_string().contains(&want), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sharded_campaign_degrades_to_single_process_at_one_shard() {
     let dir = scratch("degrade");
-    let campaign = small_campaign();
-    let report = campaign
-        .run_sharded(&dir, &ShardOptions::with_shards(1))
-        .unwrap();
+    let mut job = CampaignJob::new(small_campaign());
+    let one = ShardOptions::with_shards(1);
+    let report = shard::run_sharded(&mut job, &dir, &one).unwrap();
     assert_eq!(report.to_json(), small_campaign().run().unwrap().to_json());
     assert!(
         !shard::coord_path(&dir).exists(),
         "shards=1 never creates a coordination journal"
+    );
+
+    // The process journaled every row in shard 0's file, so a rerun over
+    // the same directory evaluates nothing: the journal does not grow.
+    let journal = std::fs::read(shard::shard_journal(&dir, 0)).unwrap();
+    assert!(!journal.is_empty(), "shards=1 journals in shard-0000.jsonl");
+    let again = shard::run_sharded(&mut CampaignJob::new(small_campaign()), &dir, &one).unwrap();
+    assert_eq!(again.to_json(), report.to_json());
+    assert_eq!(
+        std::fs::read(shard::shard_journal(&dir, 0)).unwrap(),
+        journal
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -118,8 +161,8 @@ fn sharded_campaign_degrades_to_single_process_at_one_shard() {
 #[test]
 fn merge_of_unfinished_shards_reports_incomplete() {
     let dir = scratch("incomplete");
-    let campaign = small_campaign();
-    let err = campaign.merge_sharded(&dir, 3).unwrap_err();
+    let job = CampaignJob::new(small_campaign());
+    let err = shard::merge(&job, &dir, 3).unwrap_err();
     assert!(
         matches!(err, nupea::campaign::CampaignError::Incomplete { .. }),
         "{err}"

@@ -4,9 +4,9 @@
 
 use crate::journal::{Budget, Journal, JournalEntry, Outcome};
 use crate::pareto::{FrontierPoint, ParetoFrontier, Score};
-use crate::space::{config_hash, fnv1a, Candidate, SearchSpace};
+use crate::space::{config_hash, Candidate, SearchSpace};
 use crate::strategy::{Evaluation, GridSearch, SearchStrategy};
-use nupea::shard::{self, ShardOptions, WorkerStats};
+use nupea::shard::ShardJob;
 use nupea::{ExperimentRunner, RunRecord, SystemHandle, Workload};
 use nupea_sim::MemoryModel;
 use std::collections::HashMap;
@@ -346,26 +346,6 @@ impl DseEngine {
             .collect()
     }
 
-    /// Evaluate candidates at the full (uncapped) budget, bypassing the
-    /// halving schedule — the sharded worker's unit of work, one
-    /// journal-first pass per candidate.
-    ///
-    /// # Errors
-    ///
-    /// Journal I/O errors; candidate failures are recorded outcomes.
-    pub fn evaluate_full(&mut self, cands: &[Candidate]) -> io::Result<Vec<Evaluation>> {
-        self.eval_rung(cands, &Budget::Full, true)
-    }
-
-    /// Flush the engine's journal to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors syncing the journal file.
-    pub fn sync_journal(&self) -> io::Result<()> {
-        self.journal.sync()
-    }
-
     /// Evaluate one strategy batch, applying the halving schedule.
     fn evaluate_batch(&mut self, batch: &[Candidate]) -> io::Result<Vec<Evaluation>> {
         let halving = match &self.cfg.halving {
@@ -529,169 +509,92 @@ impl DseEngine {
     }
 }
 
-/// The stable shard a candidate belongs to: FNV-1a over its canonical
-/// key, mod the shard count — a pure function of the candidate, so every
-/// worker partitions the grid identically. Sharding is by candidate
-/// (each work item evaluates the candidate against *all* workloads),
-/// keeping the compile cache effective within a shard.
-#[must_use]
-pub fn candidate_shard(c: &Candidate, shards: u32) -> u32 {
-    shard::shard_of(fnv1a(c.key().as_bytes()), shards)
+/// A full-budget grid search over a [`SearchSpace`] as a sharded job
+/// ([`nupea::shard`]): one item per `(candidate, workload)` pair, in grid
+/// order, with one journal row each. A candidate's pairs share its shard
+/// (shard key `candidate.key()`), so the compile cache stays effective
+/// within a shard. The halving schedule is ignored: its capped rungs
+/// rank candidates globally, which would couple shards to each other.
+/// The merged report is the one a grid search over the merged journal
+/// produces.
+#[derive(Debug)]
+pub struct GridJob {
+    /// Evaluates items journal-first against an in-memory journal that
+    /// starts from the shard's held rows, so a candidate's missing
+    /// workloads simulate together once.
+    engine: DseEngine,
 }
 
-/// Run one worker against a sharded full-grid search rooted at `dir`
-/// (coordination journal plus one tagged result journal per shard — see
-/// [`nupea::shard`]). Any number of processes may call this concurrently
-/// with the same `(space, cfg, workloads)` and distinct
-/// [`ShardOptions::worker`] ids; each returns once every shard is done.
-/// Sharded searches always evaluate the full grid at [`Budget::Full`] —
-/// the halving schedule is a cross-candidate ranking and is ignored here
-/// (its capped rungs would couple shards to each other).
-///
-/// Within a shard, evaluation is journal-first: a worker resuming a
-/// partially-complete shard replays its journal and only simulates the
-/// missing candidates, and a worker that finds every shard done performs
-/// zero simulation.
-///
-/// # Errors
-///
-/// Journal and coordination I/O errors.
-pub fn run_shard_worker(
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    workloads: &[Workload],
-    dir: &Path,
-    opts: &ShardOptions,
-) -> io::Result<WorkerStats> {
-    let cfg = DseConfig {
-        halving: None,
-        ..cfg.clone()
-    };
-    shard::run_worker(&shard::coord_path(dir), opts, |ctx| {
-        let s = ctx.shard();
-        let journal = Journal::open(shard::shard_journal(dir, s))?.with_tag(s, ctx.epoch());
-        let mut engine = DseEngine::new(space.clone(), cfg.clone()).with_journal(journal);
-        for w in workloads {
-            engine.add_workload(w.clone());
-        }
-        for i in 0..space.len() {
-            let c = space.nth(i);
-            if candidate_shard(&c, opts.shards) != s {
-                continue;
-            }
-            engine.evaluate_full(std::slice::from_ref(&c))?;
-            if !ctx.checkpoint()? {
-                // Fenced: another worker owns this shard now; our
-                // stale-epoch rows lose the merge. Stop writing.
-                return Ok(());
-            }
-        }
-        engine.sync_journal()
-    })
-}
-
-/// Merge per-shard journal files into one deterministic line set: per
-/// `(hash, budget)` key the highest-epoch record wins
-/// ([`nupea::shard::merge_by_key`]), so the result is a pure function of
-/// the journals' record multiset — independent of shard count, worker
-/// death order, steal interleaving, or the order `paths` is given in.
-/// Missing files contribute nothing (their shards may simply be empty).
-///
-/// # Errors
-///
-/// Journal I/O errors.
-pub fn merge_journal_lines(paths: &[std::path::PathBuf]) -> io::Result<Vec<String>> {
-    let mut all = Vec::new();
-    for p in paths {
-        let (_, lines) = nupea::jsonl::JsonlFile::open(p)?;
-        all.extend(lines);
-    }
-    let merged = shard::merge_by_key(all, |l| {
-        let hash = nupea::jsonl::u64_field(l, "hash")?;
-        let budget = nupea::jsonl::string_field(l, "budget")?;
-        Some((hash, budget))
-    });
-    let mut lines: Vec<String> = merged.into_values().collect();
-    lines.sort_unstable(); // canonical order for the returned set
-    Ok(lines)
-}
-
-/// Merge a sharded search's per-shard journals and assemble the
-/// [`DseReport`] — pure journal I/O, zero simulation. The report is
-/// byte-identical to a `shards = 1` grid search over the same space
-/// (same strategy name, evaluation count, and frontiers), regardless of
-/// how the sharded run was executed.
-///
-/// # Errors
-///
-/// Journal I/O errors, or `InvalidData` when a `(candidate, workload)`
-/// pair has no full-budget record (some shard has not finished).
-pub fn merge_sharded(
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    workloads: &[Workload],
-    dir: &Path,
-    shards: u32,
-) -> io::Result<DseReport> {
-    let paths: Vec<std::path::PathBuf> = (0..shards.max(1))
-        .map(|s| shard::shard_journal(dir, s))
-        .collect();
-    let journal = Journal::from_lines(merge_journal_lines(&paths)?);
-    for i in 0..space.len() {
-        let c = space.nth(i);
-        for w in workloads {
-            if journal.lookup(config_hash(w, &c), &Budget::Full).is_none() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "sharded merge incomplete: no full-budget record for {} on shard {}",
-                        c.key(),
-                        candidate_shard(&c, shards)
-                    ),
-                ));
-            }
-        }
-    }
-    let cfg = DseConfig {
-        halving: None,
-        ..cfg.clone()
-    };
-    let mut engine = DseEngine::new(space.clone(), cfg).with_journal(journal);
-    for w in workloads {
-        engine.add_workload(w.clone());
-    }
-    engine.run(&mut GridSearch::new(space.len().max(1)))
-}
-
-/// The sharded search entry point: degrade to a plain single-process
-/// grid search (journaled in shard 0's file) when `opts.shards <= 1`;
-/// otherwise work as one worker until every shard is done (joining or
-/// resuming any workers already running against `dir`), then merge.
-///
-/// # Errors
-///
-/// Journal and coordination I/O errors.
-pub fn run_sharded(
-    space: &SearchSpace,
-    cfg: &DseConfig,
-    workloads: &[Workload],
-    dir: &Path,
-    opts: &ShardOptions,
-) -> io::Result<DseReport> {
-    if opts.shards <= 1 {
+impl GridJob {
+    /// The grid search of `space` over `workloads`.
+    #[must_use]
+    pub fn new(space: SearchSpace, cfg: DseConfig, workloads: &[Workload]) -> Self {
         let cfg = DseConfig {
             halving: None,
-            ..cfg.clone()
+            ..cfg
         };
-        let journal = Journal::open(shard::shard_journal(dir, 0))?;
-        let mut engine = DseEngine::new(space.clone(), cfg).with_journal(journal);
+        let mut engine = DseEngine::new(space, cfg);
         for w in workloads {
             engine.add_workload(w.clone());
         }
-        return engine.run(&mut GridSearch::new(space.len().max(1)));
+        GridJob { engine }
     }
-    run_shard_worker(space, cfg, workloads, dir, opts)?;
-    merge_sharded(space, cfg, workloads, dir, opts.shards)
+}
+
+impl ShardJob for GridJob {
+    /// The candidate and the workload's position.
+    type Item = (Candidate, usize);
+    type Report = DseReport;
+    type Error = io::Error;
+
+    fn items(&self) -> Vec<(Candidate, usize)> {
+        let (space, workloads) = (&self.engine.space, self.engine.workloads.len());
+        (0..space.len())
+            .flat_map(|i| (0..workloads).map(move |w| (space.nth(i), w)))
+            .collect()
+    }
+
+    fn shard_key(&self, (c, _): &(Candidate, usize)) -> String {
+        c.key()
+    }
+
+    fn row_key(&self, row: &str) -> Option<(Candidate, usize)> {
+        let e = JournalEntry::parse_line(row)?;
+        let w = self
+            .engine
+            .workloads
+            .iter()
+            .position(|w| config_hash(w, &e.candidate) == e.hash)?;
+        (e.budget == Budget::Full).then_some((e.candidate, w))
+    }
+
+    /// The rows the shard's journal holds become the engine's journal,
+    /// so the workloads a candidate already has rows for are not
+    /// simulated again.
+    fn replay(&mut self, rows: &[String]) {
+        self.engine.journal = Journal::from_lines(rows.iter().cloned());
+    }
+
+    /// The batch's candidates in one journal-first sweep against every
+    /// workload.
+    fn evaluate(&mut self, items: &[(Candidate, usize)]) -> io::Result<Vec<String>> {
+        let mut cands: Vec<Candidate> = items.iter().map(|(c, _)| c.clone()).collect();
+        cands.dedup();
+        self.engine.eval_rung(&cands, &Budget::Full, true)?;
+        let row = |(c, w): &(Candidate, usize)| {
+            let hash = config_hash(&self.engine.workloads[*w], c);
+            let entry = self.engine.journal.lookup(hash, &Budget::Full);
+            entry.expect("evaluated above").to_line()
+        };
+        Ok(items.iter().map(row).collect())
+    }
+
+    fn fold(&self, rows: Vec<String>) -> io::Result<DseReport> {
+        let mut engine = DseEngine::new(self.engine.space.clone(), self.engine.cfg.clone())
+            .with_journal(Journal::from_lines(rows));
+        engine.workloads = self.engine.workloads.clone();
+        engine.run(&mut GridSearch::new(self.engine.space.len().max(1)))
+    }
 }
 
 /// Map a runner record to a journal outcome.
@@ -703,5 +606,43 @@ fn outcome_of(rec: &RunRecord) -> Outcome {
             pes: rec.active_pes,
         }),
         Some(kind) => Outcome::Failed(kind.label().to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nupea::{Heuristic, Scale};
+    use nupea_kernels::workloads::workload_by_name;
+
+    #[test]
+    fn grid_job_simulates_only_the_workloads_a_shard_lacks() {
+        let space = SearchSpace {
+            domain_cols: vec![3],
+            d0_cols: vec![2],
+            cache_words: vec![64 * 1024],
+            heuristics: vec![Heuristic::CriticalityAware],
+            effort: 32,
+            ..SearchSpace::default()
+        };
+        let workloads: Vec<Workload> = ["spmv", "spmspv"]
+            .iter()
+            .map(|n| workload_by_name(n).unwrap().build_default(Scale::Test))
+            .collect();
+        let c = space.nth(0);
+        let items = [(c.clone(), 0), (c, 1)];
+        let mut first = GridJob::new(space.clone(), DseConfig::default(), &workloads);
+        let rows = first.evaluate(&items).unwrap();
+        assert_eq!(first.engine.simulated, 2, "one sweep, both workloads");
+
+        // A worker was killed after journaling the candidate's first
+        // workload: the shard's next owner simulates only the second.
+        let mut next = GridJob::new(space, DseConfig::default(), &workloads);
+        next.replay(&rows[..1]);
+        assert_eq!(next.evaluate(&items[1..]).unwrap(), rows[1..]);
+        assert_eq!(
+            next.engine.simulated, 1,
+            "the held row is not simulated again"
+        );
     }
 }

@@ -167,10 +167,6 @@ impl JournalEntry {
 pub struct Journal {
     file: JsonlFile,
     index: HashMap<(u64, Budget), JournalEntry>,
-    /// When set, every recorded line is tagged `(shard, epoch)` and
-    /// checksummed (see [`nupea::shard::tag_line`]) so a sharded merge
-    /// can fence out stale writers.
-    tag: Option<(u32, u64)>,
     /// Lines replayed from disk at open (resume accounting).
     pub replayed: usize,
     /// Lines skipped as unparseable at open.
@@ -184,23 +180,13 @@ impl Journal {
         Journal {
             file: JsonlFile::in_memory(),
             index: HashMap::new(),
-            tag: None,
             replayed: 0,
             skipped: 0,
         }
     }
 
-    /// Tag every future [`Journal::record`] with `(shard, epoch)` plus a
-    /// checksum — required for journals participating in a sharded run,
-    /// where the merge must prefer the highest-epoch record per key.
-    #[must_use]
-    pub fn with_tag(mut self, shard: u32, epoch: u64) -> Self {
-        self.tag = Some((shard, epoch));
-        self
-    }
-
     /// An in-memory journal indexed from already-merged lines (see
-    /// [`nupea::shard::merge_by_key`]); unparseable lines are counted in
+    /// [`nupea::shard::merge`]); unparseable lines are counted in
     /// `skipped`.
     #[must_use]
     pub fn from_lines(lines: impl IntoIterator<Item = String>) -> Self {
@@ -228,7 +214,6 @@ impl Journal {
         let mut j = Journal {
             file,
             index: HashMap::new(),
-            tag: None,
             replayed: 0,
             skipped: 0,
         };
@@ -264,23 +249,9 @@ impl Journal {
     ///
     /// I/O errors appending to the file.
     pub fn record(&mut self, entry: JournalEntry) -> io::Result<()> {
-        let line = match self.tag {
-            Some((shard, epoch)) => nupea::shard::tag_line(&entry.to_line(), shard, epoch),
-            None => entry.to_line(),
-        };
-        self.file.append(&line)?;
+        self.file.append(&entry.to_line())?;
         self.index.insert((entry.hash, entry.budget.clone()), entry);
         Ok(())
-    }
-
-    /// Flush appended records to stable storage (fsync) — a sharded
-    /// worker calls this before marking its shard done.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors syncing the file.
-    pub fn sync(&self) -> io::Result<()> {
-        self.file.sync()
     }
 
     /// Number of indexed entries.

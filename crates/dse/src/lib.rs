@@ -46,10 +46,7 @@ pub mod pareto;
 pub mod space;
 pub mod strategy;
 
-pub use engine::{
-    candidate_shard, merge_journal_lines, merge_sharded, run_shard_worker, run_sharded, DseConfig,
-    DseEngine, DseReport, HalvingConfig, WorkloadFrontier,
-};
+pub use engine::{DseConfig, DseEngine, DseReport, GridJob, HalvingConfig, WorkloadFrontier};
 pub use journal::{Budget, Journal, JournalEntry, Outcome};
 pub use pareto::{FrontierPoint, ParetoFrontier, Score};
 pub use space::{config_hash, fnv1a, heuristic_from_label, Candidate, SearchSpace};

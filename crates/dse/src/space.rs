@@ -12,7 +12,7 @@ use nupea_pnr::Heuristic;
 use nupea_rng::Xoshiro256;
 
 /// One point in the joint hardware/compiler space.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// Columns per far NUPEA domain (`monaco_with_domains`).
     pub domain_cols: usize,

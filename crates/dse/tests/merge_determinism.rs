@@ -9,16 +9,21 @@
 //! simulation: the engine assembles frontiers purely from journal
 //! replay in both the sharded and the single-process path.
 
-use nupea::jsonl::JsonlFile;
-use nupea::shard::{shard_journal, tag_line, ShardOptions};
+use nupea::jsonl::{fnv1a, JsonlFile};
+use nupea::shard::{self, shard_journal, shard_of, tag_line, ShardOptions};
 use nupea::{all_workloads, Scale, Workload};
 use nupea_dse::{
-    candidate_shard, config_hash, merge_journal_lines, merge_sharded, run_sharded, Budget,
-    DseConfig, JournalEntry, Outcome, Score, SearchSpace,
+    config_hash, Budget, Candidate, DseConfig, DseEngine, GridJob, GridSearch, Journal,
+    JournalEntry, Outcome, Score, SearchSpace,
 };
 use std::path::PathBuf;
 
 const SHARDS: u32 = 5;
+
+/// The shard a candidate's rows belong to.
+fn candidate_shard(c: &Candidate) -> u32 {
+    shard_of(fnv1a(c.key().as_bytes()), SHARDS)
+}
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nupea-merge-det-{}-{name}", std::process::id()));
@@ -75,24 +80,31 @@ fn truth_entries(space: &SearchSpace, workloads: &[Workload]) -> Vec<JournalEntr
 }
 
 /// The single-process baseline: every truth line (untagged) in shard 0's
-/// journal, then the `shards = 1` degraded path replays it — zero
-/// simulation because the journal is complete.
+/// journal, replayed by a plain grid search outside the shard driver —
+/// zero simulation because the journal is complete. The driver's
+/// `shards = 1` path over the same journal must agree.
 fn single_process_json(space: &SearchSpace, workloads: &[Workload]) -> String {
     let dir = scratch("single");
     let (mut jf, _) = JsonlFile::open(shard_journal(&dir, 0)).unwrap();
     for e in truth_entries(space, workloads) {
         jf.append(&e.to_line()).unwrap();
     }
-    let report = run_sharded(
-        space,
-        &DseConfig::default(),
-        workloads,
-        &dir,
-        &ShardOptions::with_shards(1),
-    )
-    .unwrap();
+    let journal = Journal::open(shard_journal(&dir, 0)).unwrap();
+    let mut engine = DseEngine::new(space.clone(), DseConfig::default()).with_journal(journal);
+    for w in workloads {
+        engine.add_workload(w.clone());
+    }
+    let grid = engine.run(&mut GridSearch::new(space.len())).unwrap();
+    assert_eq!(grid.simulated, 0, "the journal is complete");
+    let mut job = GridJob::new(space.clone(), DseConfig::default(), workloads);
+    let one_shard = shard::run_sharded(&mut job, &dir, &ShardOptions::with_shards(1)).unwrap();
+    assert_eq!(
+        one_shard.to_json(),
+        grid.to_json(),
+        "shards=1 == grid search"
+    );
     std::fs::remove_dir_all(&dir).ok();
-    report.to_json()
+    grid.to_json()
 }
 
 /// Deterministic permutation `p` of `lines` (rotations, reversals, and
@@ -132,7 +144,7 @@ fn permuted_duplicated_shard_journals_merge_byte_identical() {
         let mut per_shard: Vec<Vec<String>> = vec![Vec::new(); SHARDS as usize];
         let mut stolen_truth_skipped = false;
         for e in &truth {
-            let s = candidate_shard(&e.candidate, SHARDS);
+            let s = candidate_shard(&e.candidate);
             let line = e.to_line();
             if s == 0 {
                 if !stolen_truth_skipped {
@@ -170,8 +182,9 @@ fn permuted_duplicated_shard_journals_merge_byte_identical() {
                 jf.append(line).unwrap();
             }
         }
-        let report = merge_sharded(&space, &DseConfig::default(), &workloads, &dir, SHARDS)
-            .unwrap_or_else(|e| panic!("permutation {p}: {e}"));
+        let job = GridJob::new(space.clone(), DseConfig::default(), &workloads);
+        let report =
+            shard::merge(&job, &dir, SHARDS).unwrap_or_else(|e| panic!("permutation {p}: {e}"));
         assert_eq!(
             report.to_json(),
             single,
@@ -182,40 +195,21 @@ fn permuted_duplicated_shard_journals_merge_byte_identical() {
 }
 
 #[test]
-fn merge_journal_lines_is_invariant_to_path_order() {
-    let space = small_space();
-    let workloads = suite();
-    let dir = scratch("paths");
-    for e in truth_entries(&space, &workloads) {
-        let s = candidate_shard(&e.candidate, SHARDS);
-        let (mut jf, _) = JsonlFile::open(shard_journal(&dir, s)).unwrap();
-        jf.append(&tag_line(&e.to_line(), s, 1)).unwrap();
-    }
-    let mut paths: Vec<PathBuf> = (0..SHARDS).map(|s| shard_journal(&dir, s)).collect();
-    let forward = merge_journal_lines(&paths).unwrap();
-    paths.reverse();
-    assert_eq!(merge_journal_lines(&paths).unwrap(), forward);
-    paths.rotate_left(2);
-    assert_eq!(merge_journal_lines(&paths).unwrap(), forward);
-    assert_eq!(forward.len(), space.len() * workloads.len());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn merge_of_incomplete_shards_is_a_typed_error_not_a_simulation() {
     let space = small_space();
     let workloads = suite();
     let dir = scratch("gap");
     // Every shard journal except shard 0's.
     for e in truth_entries(&space, &workloads) {
-        let s = candidate_shard(&e.candidate, SHARDS);
+        let s = candidate_shard(&e.candidate);
         if s == 0 {
             continue;
         }
         let (mut jf, _) = JsonlFile::open(shard_journal(&dir, s)).unwrap();
         jf.append(&tag_line(&e.to_line(), s, 1)).unwrap();
     }
-    let err = merge_sharded(&space, &DseConfig::default(), &workloads, &dir, SHARDS).unwrap_err();
+    let job = GridJob::new(space, DseConfig::default(), &workloads);
+    let err = shard::merge(&job, &dir, SHARDS).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,10 +17,10 @@
 //! claims nothing, and that the merged reports are byte-identical to the
 //! single-process run.
 
-use nupea::campaign::{CampaignConfig, FaultCampaign};
-use nupea::shard::{ShardOptions, WorkerStats};
+use nupea::campaign::{CampaignConfig, CampaignJob, FaultCampaign};
+use nupea::shard::{self, ShardOptions};
 use nupea::Scale;
-use nupea_dse::{DseConfig, SearchSpace};
+use nupea_dse::{DseConfig, GridJob, SearchSpace};
 use nupea_kernels::workloads::workload_by_name;
 use std::path::Path;
 use std::process::ExitCode;
@@ -70,25 +70,19 @@ fn main() -> ExitCode {
         worker: worker.clone(),
         ttl_ms: num(4, 1_500),
         heartbeat_ms: num(5, 150),
-        ..ShardOptions::default()
     };
     let dir = Path::new(dir);
-    let stats: Result<WorkerStats, String> = match mode.as_str() {
-        "faults" => chaos_campaign()
-            .run_shard_worker(dir, &opts)
-            .map_err(|e| e.to_string()),
+    let stats = match mode.as_str() {
+        "faults" => {
+            let mut job = CampaignJob::new(chaos_campaign());
+            shard::work(&mut job, dir, &opts).map_err(|e| e.to_string())
+        }
         "dse" => {
             let spmspv = workload_by_name("spmspv")
                 .expect("spmspv exists")
                 .build_default(Scale::Test);
-            nupea_dse::run_shard_worker(
-                &chaos_space(),
-                &DseConfig::default(),
-                &[spmspv],
-                dir,
-                &opts,
-            )
-            .map_err(|e| e.to_string())
+            let mut job = GridJob::new(chaos_space(), DseConfig::default(), &[spmspv]);
+            shard::work(&mut job, dir, &opts).map_err(|e| e.to_string())
         }
         m => {
             eprintln!("shard_worker: unknown mode {m:?}");

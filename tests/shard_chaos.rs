@@ -12,10 +12,10 @@
 //! The worker binary is `src/bin/shard_worker.rs`; its campaign/search
 //! configurations are duplicated here and must stay in sync.
 
-use nupea::campaign::{CampaignConfig, FaultCampaign};
+use nupea::campaign::{CampaignConfig, CampaignJob, FaultCampaign};
 use nupea::shard::{self, ShardOptions};
 use nupea::{jsonl, Scale};
-use nupea_dse::{DseConfig, SearchSpace};
+use nupea_dse::{DseConfig, DseEngine, GridJob, GridSearch, SearchSpace};
 use nupea_kernels::workloads::workload_by_name;
 use nupea_rng::Xoshiro256;
 use std::path::{Path, PathBuf};
@@ -81,17 +81,6 @@ fn run_worker_to_completion(mode: &str, dir: &Path, shards: u32, id: &str) -> St
     String::from_utf8(out.stdout).expect("stats are utf-8")
 }
 
-/// Workers in the order their shard claims appear in the coordination
-/// journal (a torn tail line is simply not counted yet).
-fn claimers(dir: &Path) -> Vec<String> {
-    std::fs::read_to_string(shard::coord_path(dir))
-        .unwrap_or_default()
-        .lines()
-        .filter(|line| jsonl::string_field(line, "rec").as_deref() == Some("claim"))
-        .filter_map(|line| jsonl::string_field(line, "worker"))
-        .collect()
-}
-
 /// The chaos schedule: spawn `workers`, then SIGKILL `kills` of them
 /// mid-run. Each kill waits for one to `spread` (seeded) further shard
 /// claims to appear in the coordination journal and kills the worker
@@ -121,7 +110,7 @@ fn run_chaos(
     while victims.len() < kills {
         claim += 1 + rng.below(spread) as usize;
         let victim = loop {
-            if let Some(id) = claimers(dir).get(claim - 1) {
+            if let Some(id) = shard::claimers(dir).get(claim - 1) {
                 break Some(id.clone());
             }
             if children
@@ -182,7 +171,7 @@ fn killed_fault_campaign_workers_are_stolen_and_merge_is_byte_identical() {
     );
 
     // The merged resilience report is byte-identical to shards=1.
-    let merged = chaos_campaign().merge_sharded(&dir, shards).unwrap();
+    let merged = shard::merge(&CampaignJob::new(chaos_campaign()), &dir, shards).unwrap();
     assert_eq!(merged.to_json(), single);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -194,16 +183,22 @@ fn killed_dse_workers_are_stolen_and_frontier_is_byte_identical() {
             .unwrap()
             .build_default(Scale::Test)
     };
+    let job = || GridJob::new(chaos_space(), DseConfig::default(), &[spmspv()]);
+    // The baseline is a plain grid search, outside the shard driver.
+    let mut engine = DseEngine::new(chaos_space(), DseConfig::default());
+    engine.add_workload(spmspv());
+    let single = engine
+        .run(&mut GridSearch::new(chaos_space().len()))
+        .unwrap()
+        .to_json();
+    // The driver's one-shard path, one batch in one process, agrees.
     let single_dir = scratch("dse-single");
-    let single = nupea_dse::run_sharded(
-        &chaos_space(),
-        &DseConfig::default(),
-        &[spmspv()],
-        &single_dir,
-        &ShardOptions::with_shards(1),
-    )
-    .unwrap()
-    .to_json();
+    let one_shard = shard::run_sharded(&mut job(), &single_dir, &ShardOptions::with_shards(1));
+    assert_eq!(
+        one_shard.unwrap().to_json(),
+        single,
+        "shards=1 == grid search"
+    );
     std::fs::remove_dir_all(&single_dir).ok();
 
     let dir = scratch("dse");
@@ -218,14 +213,7 @@ fn killed_dse_workers_are_stolen_and_frontier_is_byte_identical() {
         "resumed worker re-ran work: {stats}"
     );
 
-    let merged = nupea_dse::merge_sharded(
-        &chaos_space(),
-        &DseConfig::default(),
-        &[spmspv()],
-        &dir,
-        shards,
-    )
-    .unwrap();
+    let merged = shard::merge(&job(), &dir, shards).unwrap();
     assert_eq!(
         merged.to_json(),
         single,
