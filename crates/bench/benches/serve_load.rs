@@ -26,6 +26,7 @@
 //! concurrently with the measured window; the run fails if the server
 //! does not contain it.
 
+use nupea_bench::{flag_value, parse_flag};
 use nupea_serve::chaos::{self, ChaosConfig};
 use nupea_serve::hist::Hist;
 use nupea_serve::{client, ServeOptions, Server};
@@ -41,40 +42,70 @@ struct Shot {
     shed: bool,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let rate: f64 = flag("--rate").and_then(|v| v.parse().ok()).unwrap_or(100.0);
-    let duration_s: f64 = flag("--duration-secs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let clients: usize = flag("--clients").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let workloads = flag("--workloads").unwrap_or_else(|| "spmv".to_string());
-    let queue_cap: usize = flag("--queue-cap")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let tier_mix = flag("--tier-mix").unwrap_or_else(|| "1,2,1".to_string());
-    let json_path = flag("--json");
+struct Opts {
+    rate: f64,
+    duration_s: f64,
+    clients: usize,
+    workloads: String,
+    queue_cap: usize,
+    tier_mix: String,
+    json_path: Option<String>,
+    chaos: ChaosConfig,
+}
 
+fn parse_opts() -> Result<Opts, String> {
     // Chaos knobs: any non-zero count arms the concurrent storm.
-    let mut chaos_cfg = ChaosConfig::default();
-    chaos_cfg.seed = flag("--chaos-seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
-    chaos_cfg.slow_loris = flag("--slow-loris")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    chaos_cfg.panics = flag("--panics").and_then(|v| v.parse().ok()).unwrap_or(0);
-    chaos_cfg.deadline_storm = flag("--deadline-storm")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    chaos_cfg.disconnects = flag("--disconnects")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let mut chaos = ChaosConfig::default();
+    chaos.slow_loris = 0;
+    chaos.panics = 0;
+    chaos.deadline_storm = 0;
+    chaos.disconnects = 0;
+    let mut opts = Opts {
+        rate: 100.0,
+        duration_s: 2.0,
+        clients: 4,
+        workloads: "spmv".to_string(),
+        queue_cap: 64,
+        tier_mix: "1,2,1".to_string(),
+        json_path: None,
+        chaos,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--rate" => opts.rate = parse_flag(&mut args, &a)?,
+            "--duration-secs" => opts.duration_s = parse_flag(&mut args, &a)?,
+            "--clients" => opts.clients = parse_flag(&mut args, &a)?,
+            "--workloads" => opts.workloads = flag_value(&mut args, &a)?,
+            "--queue-cap" => opts.queue_cap = parse_flag(&mut args, &a)?,
+            "--tier-mix" => opts.tier_mix = flag_value(&mut args, &a)?,
+            "--json" => opts.json_path = Some(flag_value(&mut args, &a)?),
+            "--chaos-seed" => opts.chaos.seed = parse_flag(&mut args, &a)?,
+            "--slow-loris" => opts.chaos.slow_loris = parse_flag(&mut args, &a)?,
+            "--panics" => opts.chaos.panics = parse_flag(&mut args, &a)?,
+            "--deadline-storm" => opts.chaos.deadline_storm = parse_flag(&mut args, &a)?,
+            "--disconnects" => opts.chaos.disconnects = parse_flag(&mut args, &a)?,
+            // Ignore flags cargo's bench harness forwards (e.g. --bench).
+            _ => {}
+        }
+    }
+    Ok(opts)
+}
+
+fn main() {
+    let Opts {
+        rate,
+        duration_s,
+        clients,
+        workloads,
+        queue_cap,
+        tier_mix,
+        json_path,
+        chaos: chaos_cfg,
+    } = parse_opts().unwrap_or_else(|e| {
+        eprintln!("serve_load: {e}");
+        std::process::exit(2)
+    });
     let chaos_on =
         chaos_cfg.slow_loris + chaos_cfg.panics + chaos_cfg.deadline_storm + chaos_cfg.disconnects
             > 0;

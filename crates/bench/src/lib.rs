@@ -43,29 +43,30 @@ pub struct BenchOpts {
 
 impl BenchOpts {
     /// Parse `--threads N`, `--json PATH`, `--csv PATH`, `--trace-dir
-    /// DIR` from the process arguments. Unknown arguments (e.g. flags
-    /// cargo forwards) are ignored.
+    /// DIR` from the process arguments, exiting with status 2 on a
+    /// missing or malformed value. Unknown arguments (e.g. flags cargo
+    /// forwards) are ignored.
     #[must_use]
     pub fn from_env() -> Self {
+        BenchOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`BenchOpts::from_env`] over explicit arguments.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = BenchOpts::default();
-        let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--threads" => {
-                    opts.threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a number");
-                }
-                "--json" => opts.json = Some(args.next().expect("--json needs a path").into()),
-                "--csv" => opts.csv = Some(args.next().expect("--csv needs a path").into()),
-                "--trace-dir" => {
-                    opts.trace_dir = Some(args.next().expect("--trace-dir needs a path").into());
-                }
+                "--threads" => opts.threads = parse_flag(&mut args, &a)?,
+                "--json" => opts.json = Some(flag_value(&mut args, &a)?.into()),
+                "--csv" => opts.csv = Some(flag_value(&mut args, &a)?.into()),
+                "--trace-dir" => opts.trace_dir = Some(flag_value(&mut args, &a)?.into()),
                 _ => {}
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Apply the runner-level options (threads, trace directory) to a
@@ -334,11 +335,9 @@ pub fn topology_sweep() -> Vec<TopoPoint> {
                 // Track-constrained routing rewards placement quality:
                 // spend extra annealing effort, as a real flow would for a
                 // congested target.
-                let sys = SystemConfig::builder()
-                    .fabric(fabric)
-                    .divider_override(None)
-                    .effort(600)
-                    .build();
+                let mut sys = SystemConfig::with_fabric(fabric);
+                sys.divider_override = None;
+                sys.effort = 600;
                 let spec = nupea_kernels::workloads::WorkloadSpec {
                     name: "spmspv",
                     build: |_, par| nupea_kernels::workloads::sparse::spmspv_custom(96, 0.9, par),
@@ -421,4 +420,33 @@ pub fn run_once(
         .and_then(|c| c.simulate(model))
         .map(|s| s.cycles)
         .map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    #[test]
+    fn bench_opts_parse_every_flag_and_reject_malformed_values() {
+        let opts = BenchOpts::parse(args(
+            "--bench --threads 3 --json a.json --csv b.csv --trace-dir t",
+        ))
+        .unwrap();
+        assert_eq!(opts.threads, 3);
+        assert_eq!(opts.json, Some(PathBuf::from("a.json")));
+        assert_eq!(opts.csv, Some(PathBuf::from("b.csv")));
+        assert_eq!(opts.trace_dir, Some(PathBuf::from("t")));
+        assert_eq!(BenchOpts::parse(args("")).unwrap().threads, 0);
+
+        let err = BenchOpts::parse(args("--threads banana")).unwrap_err();
+        assert!(err.starts_with("--threads: "), "{err}");
+        assert_eq!(
+            BenchOpts::parse(args("--json")).unwrap_err(),
+            "--json needs a value"
+        );
+    }
 }

@@ -36,10 +36,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Canonical, human-readable config string an artifact is addressed by.
-/// Every knob that can change the compile result is included; the
-/// workload is identified structurally (name, parallelism, graph size,
-/// memory allocation watermark) so the same kernel at different scales —
-/// identical graph, bigger input image — keys differently.
+/// Every knob that can change the compile result, or the runs of the
+/// cached artifact (which simulate under the [`SystemConfig`] that
+/// compiled it), is included; the workload is identified structurally
+/// (name, parallelism, graph size, memory allocation watermark) so the
+/// same kernel at different scales — identical graph, bigger input
+/// image — keys differently.
 #[must_use]
 pub fn config_key(workload: &Workload, sys: &SystemConfig, heuristic: Heuristic) -> String {
     let dfg = workload.kernel.dfg();
@@ -275,14 +277,21 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::{PeId, Scale};
     use nupea_kernels::workloads::sparse;
 
     fn fixture(par: usize, seed: u64) -> (Arc<Workload>, Arc<SystemConfig>) {
-        (
-            Arc::new(sparse::spmv(Scale::Test, par)),
-            Arc::new(SystemConfig::builder().seed(seed).effort(20).build()),
-        )
+        let mut sys = SystemConfig::monaco_12x12();
+        sys.seed = seed;
+        sys.effort = 20;
+        (Arc::new(sparse::spmv(Scale::Test, par)), Arc::new(sys))
+    }
+
+    /// A degenerate config that fails validation inside `compile_impl`.
+    fn zero_fifo() -> Arc<SystemConfig> {
+        let mut sys = SystemConfig::monaco_12x12();
+        sys.fifo_depth = 0;
+        Arc::new(sys)
     }
 
     #[test]
@@ -301,6 +310,28 @@ mod tests {
         );
         let big = Arc::new(sparse::spmv(Scale::Bench, 1));
         assert_ne!(base, config_hash(&big, &s1, h), "scale must key");
+
+        // Every remaining SystemConfig field changes the compile or the
+        // runs of a cached artifact, so every one must key.
+        let key = config_key(&w1, &s1, h);
+        let must_key = |name: &str, mutate: fn(&mut SystemConfig)| {
+            let mut sys = (*s1).clone();
+            mutate(&mut sys);
+            assert_ne!(key, config_key(&w1, &sys, h), "{name} must key");
+        };
+        must_key("mem.mem_words", |s| s.mem.mem_words *= 2);
+        must_key("mem.cache_words", |s| s.mem.cache_words *= 2);
+        must_key("mem.line_words", |s| s.mem.line_words *= 2);
+        must_key("mem.ways", |s| s.mem.ways *= 2);
+        must_key("mem.banks", |s| s.mem.banks *= 2);
+        must_key("mem.hit_latency", |s| s.mem.hit_latency += 1);
+        must_key("mem.miss_latency", |s| s.mem.miss_latency += 1);
+        must_key("fifo_depth", |s| s.fifo_depth += 1);
+        must_key("max_outstanding", |s| s.max_outstanding += 1);
+        must_key("effort", |s| s.effort += 1);
+        must_key("divider_override", |s| s.divider_override = None);
+        must_key("stall_window", |s| s.stall_window += 1);
+        must_key("avoid", |s| s.avoid.push(PeId(0)));
     }
 
     #[test]
@@ -353,8 +384,7 @@ mod tests {
     fn failed_compiles_are_not_cached() {
         let cache = ArtifactCache::new(4);
         let (w, _) = fixture(1, 1);
-        // A degenerate config fails validation inside compile_impl.
-        let bad = Arc::new(SystemConfig::builder().fifo_depth(0).build());
+        let bad = zero_fifo();
         let h = Heuristic::DomainUnaware;
         let k = config_hash(&w, &bad, h);
         let (r, cached) = cache.get_or_compile(k, &w, &bad, h);
@@ -371,7 +401,7 @@ mod tests {
     fn breaker_opens_after_repeated_failures_and_probes_half_open() {
         let cache = ArtifactCache::new(4);
         let (w, _) = fixture(1, 1);
-        let bad = Arc::new(SystemConfig::builder().fifo_depth(0).build());
+        let bad = zero_fifo();
         let h = Heuristic::DomainUnaware;
         let k = config_hash(&w, &bad, h);
 

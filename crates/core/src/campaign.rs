@@ -41,14 +41,13 @@
 //! through [`crate::shard`].
 
 use crate::jsonl::{self, JsonlFile};
-use crate::runner::{parallel_map, RetryPolicy, RunErrorKind};
+use crate::runner::{parallel_map, rerun_on_cycle_limit, RetryPolicy, RunErrorKind};
 use crate::shard::{Incomplete, ShardJob};
 use crate::{Compiled, Heuristic, PipelineError, SimOptions, SystemConfig};
 use nupea_fabric::{DomainId, Fabric, PeId};
 use nupea_kernels::workloads::{all_workloads, Scale, Workload};
 use nupea_sim::{
-    FaultClasses, FaultConfig, FaultContext, FaultKind, FaultPlan, MemoryModel, RunStats, SimError,
-    SimMemory,
+    FaultClasses, FaultConfig, FaultContext, FaultKind, FaultPlan, MemoryModel, RunStats, SimMemory,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -171,16 +170,6 @@ pub struct CampaignConfig {
     pub model: MemoryModel,
     /// Workload scale (campaigns default to `Scale::Test`).
     pub scale: Scale,
-    /// Watchdog quiescence window for *injected* runs — small, so hangs
-    /// are detected quickly instead of spinning to the cycle budget.
-    pub stall_window: u64,
-    /// Injected-run cycle budget as a multiple of the golden run's
-    /// cycles (plus one stall window of slack).
-    pub budget_factor: u64,
-    /// Capped-backoff re-checks when an injected run exhausts its budget
-    /// (each re-check multiplies the budget by 4): distinguishes "very
-    /// slow but alive" from a genuine hang.
-    pub max_rechecks: u32,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
     /// Journal path for kill-and-resume campaigns (None = in-memory).
@@ -200,9 +189,6 @@ impl CampaignConfig {
             heuristic: Heuristic::CriticalityAware,
             model: MemoryModel::Nupea,
             scale: Scale::Test,
-            stall_window: 20_000,
-            budget_factor: 4,
-            max_rechecks: 2,
             threads: 0,
             journal: None,
         }
@@ -219,6 +205,17 @@ impl CampaignConfig {
         }
     }
 }
+
+/// Watchdog quiescence window for *injected* runs — small, so hangs are
+/// detected quickly instead of spinning to the cycle budget.
+const STALL_WINDOW: u64 = 20_000;
+/// Injected-run cycle budget as a multiple of the golden run's cycles
+/// (plus one stall window of slack).
+const BUDGET_FACTOR: u64 = 4;
+/// Capped-backoff re-checks when an injected run exhausts its budget
+/// (each re-check multiplies the budget by 4): distinguishes "very slow
+/// but alive" from a genuine hang.
+const MAX_RECHECKS: u32 = 2;
 
 /// One classified injection. Every field is journal-stable (labels and
 /// integers only, no free-text error strings), so a journal-resumed
@@ -713,27 +710,20 @@ impl FaultCampaign {
 
         let inj_opts = SimOptions::new(self.cfg.model)
             .fault(FaultConfig::inject(kind))
-            .stall_window(self.cfg.stall_window)
+            .stall_window(STALL_WINDOW)
             .no_validate();
         let budget = golden_cycles
-            .saturating_mul(self.cfg.budget_factor.max(1))
-            .saturating_add(self.cfg.stall_window);
+            .saturating_mul(BUDGET_FACTOR)
+            .saturating_add(STALL_WINDOW);
         // Capped exponential backoff on the budget before calling a run
-        // hung — the campaign's RetryPolicy (satellite: hang re-checks).
+        // hung.
         let policy = RetryPolicy::Backoff {
             factor: 4,
-            max_retries: self.cfg.max_rechecks,
+            max_retries: MAX_RECHECKS,
         };
-        let mut result = g
-            .compiled
-            .simulate_with(&inj_opts.clone().max_cycles(budget));
-        for attempt in 1..=policy.max_retries() {
-            if !matches!(result, Err(PipelineError::Sim(SimError::CycleLimit { .. }))) {
-                break;
-            }
-            let cap = policy.backoff_cap(budget, attempt);
-            result = g.compiled.simulate_with(&inj_opts.clone().max_cycles(cap));
-        }
+        let (result, _) = rerun_on_cycle_limit(budget, policy, |cap| {
+            g.compiled.simulate_with(&inj_opts.clone().max_cycles(cap))
+        });
 
         match result {
             Ok(out) => {

@@ -1,8 +1,6 @@
 //! Shared experiment machinery for the benchmark harness: the memory-model
 //! matrix of §6, normalization, geometric means, and table rendering.
 
-use crate::{Compiled, Workload};
-use nupea_kernels::workloads::{all_workloads, Scale, WorkloadSpec};
 use nupea_pnr::Heuristic;
 use nupea_sim::MemoryModel;
 
@@ -32,36 +30,6 @@ pub fn heuristic_for(model: MemoryModel) -> Heuristic {
         MemoryModel::Nupea => Heuristic::CriticalityAware,
         MemoryModel::Upea(_) | MemoryModel::NumaUpea(_) => Heuristic::DomainUnaware,
     }
-}
-
-/// The standard bench-scale workload suite.
-pub fn bench_suite() -> Vec<(WorkloadSpec, Workload)> {
-    all_workloads()
-        .into_iter()
-        .map(|spec| {
-            let w = spec.build_default(Scale::Bench);
-            (spec, w)
-        })
-        .collect()
-}
-
-/// Per-PE activity: `(pe, firings)` sorted busiest-first, from a run's
-/// per-node firing counts and the placement. Useful for spotting
-/// utilization hot spots (e.g. saturated D0 columns).
-pub fn pe_utilization(
-    workload: &Workload,
-    compiled: &Compiled,
-    stats: &nupea_sim::RunStats,
-) -> Vec<(nupea_fabric::PeId, u64)> {
-    let mut per_pe: std::collections::HashMap<nupea_fabric::PeId, u64> =
-        std::collections::HashMap::new();
-    for (i, &f) in stats.firings_per_node.iter().enumerate() {
-        *per_pe.entry(compiled.placed.pe_of[i]).or_default() += f;
-    }
-    let _ = workload;
-    let mut v: Vec<_> = per_pe.into_iter().collect();
-    v.sort_by_key(|&(pe, f)| (std::cmp::Reverse(f), pe.0));
-    v
 }
 
 /// Render an aligned text table; `rows` are (label, cells).
@@ -134,20 +102,5 @@ mod tests {
         );
         assert!(t.contains("demo"));
         assert!(t.contains("longheader"));
-    }
-
-    #[test]
-    fn pe_utilization_accounts_for_all_firings() {
-        let w = nupea_kernels::workloads::sparse::spmv(Scale::Test, 1);
-        let sys = crate::SystemConfig::monaco_12x12();
-        let c = sys.compile(&w, Heuristic::CriticalityAware).unwrap();
-        let stats = c.simulate(MemoryModel::Nupea).unwrap();
-        let util = pe_utilization(&w, &c, &stats);
-        let total: u64 = util.iter().map(|&(_, f)| f).sum();
-        assert_eq!(total, stats.firings);
-        assert!(
-            util.windows(2).all(|w| w[0].1 >= w[1].1),
-            "sorted busiest-first"
-        );
     }
 }

@@ -145,9 +145,10 @@ impl JsonlFile {
     ///
     /// Checksummed lines (see [`with_checksum`]) are verified: corrupt
     /// ones are dropped from the returned lines and reported through
-    /// [`JsonlFile::corruption`]. A truncated final line without a
-    /// trailing newline is torn, not corrupt, and is handed back for the
-    /// caller's parser to skip as before.
+    /// [`JsonlFile::corruption`]. A line that does not end in `}` — a
+    /// torn tail, or a torn row that a later append has moved past — is
+    /// torn, not corrupt, and is handed back for the caller's parser to
+    /// skip.
     ///
     /// # Errors
     ///
@@ -168,18 +169,16 @@ impl JsonlFile {
         match std::fs::read_to_string(&path) {
             Ok(text) => {
                 file.tail_torn = !text.is_empty() && !text.ends_with('\n');
-                let complete = text
-                    .lines()
-                    .count()
-                    .saturating_sub(usize::from(file.tail_torn));
                 for (i, l) in text.lines().enumerate() {
                     if l.trim().is_empty() {
                         continue;
                     }
-                    // The torn tail is exempt from checksum verification:
-                    // it is an expected kill artifact, reported via the
-                    // torn flag and skipped by the caller's parser.
-                    if i < complete && verify_checksum(l) == Integrity::Corrupt {
+                    // A line that does not end in `}` cannot be a complete
+                    // record: it is a kill artifact (a torn tail, or one a
+                    // later append already moved past), not corruption. It
+                    // is exempt from checksum verification and skipped by
+                    // the caller's parser.
+                    if l.ends_with('}') && verify_checksum(l) == Integrity::Corrupt {
                         let c = file.corruption.get_or_insert(Corruption {
                             first_line: i + 1,
                             count: 0,
@@ -454,6 +453,12 @@ mod tests {
     }
 
     #[test]
+    fn json_escapes_control_and_quote_chars() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn escape_round_trips() {
         for s in ["plain", "q\"q", "b\\b", "n\nn", "t\tt", "\u{1}", "héllo"] {
             assert_eq!(unescape(&escape(s)).as_deref(), Some(s), "{s:?}");
@@ -575,6 +580,31 @@ mod tests {
         let (f, lines) = JsonlFile::open(&path).unwrap();
         assert!(f.corruption().is_none(), "torn tails are not corruption");
         assert_eq!(lines.len(), 1, "handed back for the parser to skip");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_checksum_row_stays_torn_after_a_later_append() {
+        let dir = scratch("torn-then-append");
+        let path = dir.join("t.jsonl");
+        {
+            let (mut f, _) = JsonlFile::open(&path).unwrap();
+            f.append(&with_checksum("{\"shard\":1,\"epoch\":1}"))
+                .unwrap();
+        }
+        // A kill cuts the row inside its checksum digits, with no newline.
+        let full = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 4]).unwrap();
+        {
+            // The shard's next owner repairs the tail and appends.
+            let (mut f, _) = JsonlFile::open(&path).unwrap();
+            f.append(&with_checksum("{\"shard\":1,\"epoch\":2}"))
+                .unwrap();
+        }
+        let (f, lines) = JsonlFile::open(&path).unwrap();
+        assert!(f.corruption().is_none(), "a torn row is not corruption");
+        assert_eq!(lines.len(), 2, "the torn row goes to the parser");
+        assert_eq!(verify_checksum(&lines[1]), Integrity::Valid);
         std::fs::remove_dir_all(&dir).ok();
     }
 

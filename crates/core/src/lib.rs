@@ -23,7 +23,8 @@
 //! use nupea_sim::MemoryModel;
 //!
 //! let workload = sparse::spmv(Scale::Test, 1);
-//! let sys = SystemConfig::builder().seed(7).build();
+//! let mut sys = SystemConfig::monaco_12x12();
+//! sys.seed = 7;
 //! let compiled = sys.compile(&workload, Heuristic::CriticalityAware)?;
 //! let stats = compiled.simulate(MemoryModel::Nupea)?;
 //! assert!(stats.cycles > 0);
@@ -67,11 +68,14 @@ use nupea_sim::{Engine, MemParams, SimConfig};
 use std::fmt;
 use std::sync::Arc;
 
-/// System-level configuration: the fabric plus simulator knobs.
+/// The machine and how to compile for it: the fabric, its memory and
+/// buffering, and the place-and-route knobs. Settings of a single run
+/// (memory model, tracing, fault arming, cycle budget) live in
+/// [`SimOptions`] instead, so a cached [`Compiled`] artifact never
+/// carries them into another request's run.
 ///
-/// Construct via [`SystemConfig::monaco_12x12`], [`SystemConfig::builder`],
-/// or [`SystemConfig::with_fabric`]; individual knobs stay publicly
-/// mutable for sweep-style experiments.
+/// Construct via [`SystemConfig::monaco_12x12`] or
+/// [`SystemConfig::with_fabric`], then set fields directly.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SystemConfig {
@@ -92,27 +96,14 @@ pub struct SystemConfig {
     /// divider (the right choice for the topology-scaling studies of
     /// Figs. 16–17).
     pub divider_override: Option<u64>,
-    /// Latency-perturbation fuzzing (off by default). When enabled,
-    /// seeded random extra latency is injected into NoC deliveries and
-    /// memory completions; results must not change, only cycle counts.
-    pub perturb: PerturbConfig,
-    /// Event tracing (off by default). When enabled, the engine records
-    /// per-event history into a ring buffer retrievable as a
-    /// [`TraceBuffer`] / Chrome trace JSON; timing is unaffected either
-    /// way. Per-run tracing is requested via [`SimOptions::trace`].
-    pub trace: TraceConfig,
-    /// Fault injection (off by default). When armed, exactly one
-    /// [`FaultKind`] is injected into every simulation of this system;
-    /// campaigns sample and classify these via [`FaultCampaign`]. See
-    /// DESIGN.md §9.
-    pub fault: FaultConfig,
     /// PEs the placer must not map anything onto (failed resources during
     /// degraded-mode recovery). Empty by default.
     pub avoid: Vec<PeId>,
     /// Watchdog quiescence window in system cycles (0 disables): a run
     /// with no firing, delivery, or completion for this long aborts as
-    /// [`SimError::Stalled`]. Fault campaigns shrink it so injected hangs
-    /// are detected quickly instead of spinning to the cycle cap.
+    /// [`SimError::Stalled`]. Fault campaigns shrink it per injected run
+    /// ([`SimOptions::stall_window`]) so hangs are detected quickly
+    /// instead of spinning to the cycle cap.
     pub stall_window: u64,
 }
 
@@ -138,18 +129,8 @@ impl SystemConfig {
             seed: 0xC0FFEE,
             effort: 200,
             divider_override: Some(2),
-            perturb: PerturbConfig::OFF,
-            trace: TraceConfig::OFF,
-            fault: FaultConfig::OFF,
             avoid: Vec::new(),
             stall_window: 1_000_000,
-        }
-    }
-
-    /// A chainable builder starting from the Monaco 12×12 defaults.
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder {
-            cfg: SystemConfig::monaco_12x12(),
         }
     }
 
@@ -200,116 +181,10 @@ impl SystemConfig {
     }
 }
 
-/// Chainable constructor for [`SystemConfig`], seeded with the Monaco
-/// 12×12 defaults.
-///
-/// ```
-/// use nupea::SystemConfig;
-/// let sys = SystemConfig::builder().fifo_depth(8).seed(42).build();
-/// assert_eq!(sys.fifo_depth, 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Replace the fabric (topology, domains, tracks).
-    #[must_use]
-    pub fn fabric(mut self, fabric: Fabric) -> Self {
-        self.cfg.fabric = fabric;
-        self
-    }
-
-    /// Replace the memory geometry and latencies.
-    #[must_use]
-    pub fn mem(mut self, mem: MemParams) -> Self {
-        self.cfg.mem = mem;
-        self
-    }
-
-    /// Token FIFO depth per operand.
-    #[must_use]
-    pub fn fifo_depth(mut self, depth: usize) -> Self {
-        self.cfg.fifo_depth = depth;
-        self
-    }
-
-    /// Max outstanding requests per load-store instruction.
-    #[must_use]
-    pub fn max_outstanding(mut self, n: usize) -> Self {
-        self.cfg.max_outstanding = n;
-        self
-    }
-
-    /// PnR seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Annealing effort (moves ≈ effort × cells).
-    #[must_use]
-    pub fn effort(mut self, effort: u32) -> Self {
-        self.cfg.effort = effort;
-        self
-    }
-
-    /// Fix the fabric clock divider (`None` = PnR-derived).
-    #[must_use]
-    pub fn divider_override(mut self, divider: Option<u64>) -> Self {
-        self.cfg.divider_override = divider;
-        self
-    }
-
-    /// Enable latency-perturbation fuzzing (see [`PerturbConfig`]).
-    #[must_use]
-    pub fn perturb(mut self, perturb: PerturbConfig) -> Self {
-        self.cfg.perturb = perturb;
-        self
-    }
-
-    /// Configure event tracing (see [`TraceConfig`]).
-    #[must_use]
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.cfg.trace = trace;
-        self
-    }
-
-    /// Arm fault injection (see [`FaultConfig`]).
-    #[must_use]
-    pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.cfg.fault = fault;
-        self
-    }
-
-    /// PEs the placer must avoid (degraded-mode recovery).
-    #[must_use]
-    pub fn avoid(mut self, avoid: Vec<PeId>) -> Self {
-        self.cfg.avoid = avoid;
-        self
-    }
-
-    /// Watchdog quiescence window in system cycles (0 disables).
-    #[must_use]
-    pub fn stall_window(mut self, window: u64) -> Self {
-        self.cfg.stall_window = window;
-        self
-    }
-
-    /// Finish and return the configuration.
-    #[must_use]
-    pub fn build(self) -> SystemConfig {
-        self.cfg
-    }
-}
-
 /// Per-run simulation options, consumed by [`Compiled::simulate_with`] —
-/// the single simulation entry point. Everything that used to be a
-/// separate `simulate_*` method (tracing, cycle budgets, raw unvalidated
-/// runs, sim-knob overrides) or a [`SystemConfig`] toggle flipped per run
-/// (perturbation, fault arming, stall window) is one chainable struct:
+/// the single simulation entry point and the only home of a single run's
+/// settings: memory model, tracing, cycle budget, fault arming, watchdog
+/// window and reference validation, as one chainable struct:
 ///
 /// ```
 /// use nupea::{MemoryModel, Scale, SimOptions, SystemConfig};
@@ -332,30 +207,20 @@ pub struct SimOptions {
     /// Memory model to simulate under (§6: NUPEA / UPEA-n / NUMA-UPEA-n /
     /// Ideal).
     pub model: MemoryModel,
-    /// Take every sim-time knob from a different [`SystemConfig`] instead
-    /// of the one the artifact was compiled for (the placement is reused
-    /// as-is; the fabric must match the one compiled against). `None`
-    /// uses the compiled-for system.
-    pub system: Option<SystemConfig>,
     /// Cycle budget replacing the default runaway cap
     /// ([`DEFAULT_MAX_CYCLES`]). Used by the fault-tolerant runner to
     /// bound wall-clock per sweep point.
     pub max_cycles: Option<u64>,
-    /// Latency-perturbation override for this run (`None` keeps the
-    /// system's setting).
-    pub perturb: Option<PerturbConfig>,
-    /// Fault-injection override for this run (`None` keeps the system's
-    /// setting). The campaign primitive: arm exactly one fault without
-    /// cloning a whole [`SystemConfig`].
+    /// Fault injection for this run (`None` runs fault-free). The
+    /// campaign primitive: arm exactly one fault on a shared artifact.
     pub fault: Option<FaultConfig>,
     /// Watchdog quiescence-window override in system cycles (`None`
-    /// keeps the system's setting; `Some(0)` disables the watchdog).
+    /// keeps [`SystemConfig::stall_window`]; `Some(0)` disables the
+    /// watchdog).
     pub stall_window: Option<u64>,
-    /// Force event tracing on and return the recorded [`TraceBuffer`] in
-    /// [`SimOutcome::trace`]. The system's [`SystemConfig::trace`]
-    /// capacity is honoured when tracing was already enabled there;
-    /// otherwise the default capacity of [`TraceConfig::on`] is used.
-    /// Timing is identical to an untraced run.
+    /// Record events with [`TraceConfig::on`] and return the
+    /// [`TraceBuffer`] in [`SimOutcome::trace`]. Timing is identical to
+    /// an untraced run.
     pub trace: bool,
     /// Validate results against the workload's reference implementation
     /// (default `true`). Fault campaigns turn this off: an injected run's
@@ -372,9 +237,7 @@ impl SimOptions {
     pub fn new(model: MemoryModel) -> Self {
         SimOptions {
             model,
-            system: None,
             max_cycles: None,
-            perturb: None,
             fault: None,
             stall_window: None,
             trace: false,
@@ -382,24 +245,10 @@ impl SimOptions {
         }
     }
 
-    /// Take sim-time knobs from `sys` instead of the compiled-for system.
-    #[must_use]
-    pub fn system(mut self, sys: SystemConfig) -> Self {
-        self.system = Some(sys);
-        self
-    }
-
     /// Replace the default runaway cap with an explicit cycle budget.
     #[must_use]
     pub fn max_cycles(mut self, cap: u64) -> Self {
         self.max_cycles = Some(cap);
-        self
-    }
-
-    /// Enable latency-perturbation fuzzing for this run.
-    #[must_use]
-    pub fn perturb(mut self, perturb: PerturbConfig) -> Self {
-        self.perturb = Some(perturb);
         self
     }
 
@@ -487,8 +336,9 @@ impl Compiled {
     }
 
     /// Simulate one run under explicit [`SimOptions`] — the single
-    /// simulation entry point; every knob (model, tracing, budgets,
-    /// perturbation, fault arming, validation) rides in `opts`.
+    /// simulation entry point; every per-run knob (model, tracing,
+    /// budgets, fault arming, validation) rides in `opts`, and the
+    /// machine is the one this artifact was compiled for.
     ///
     /// # Errors
     ///
@@ -498,13 +348,9 @@ impl Compiled {
     /// and outputs mismatch the reference, and
     /// [`PipelineError::InvalidConfig`] for degenerate knobs.
     pub fn simulate_with(&self, opts: &SimOptions) -> Result<SimOutcome, PipelineError> {
-        let sys = opts.system.as_ref().unwrap_or(&self.sys);
-        let mut cfg = sim_config(sys, opts.model, self.placed.timing.divider);
+        let mut cfg = sim_config(&self.sys, opts.model, self.placed.timing.divider);
         if let Some(cap) = opts.max_cycles {
             cfg.max_cycles = cap;
-        }
-        if let Some(perturb) = opts.perturb {
-            cfg.perturb = perturb;
         }
         if let Some(fault) = opts.fault {
             cfg.fault = fault;
@@ -512,20 +358,16 @@ impl Compiled {
         if let Some(window) = opts.stall_window {
             cfg.stall_window = window;
         }
-        if opts.trace && !cfg.trace.enabled {
+        if opts.trace {
             cfg.trace = TraceConfig::on();
         }
-        let mut out = run_engine(
+        run_engine(
             &self.workload,
-            &sys.fabric,
+            &self.sys.fabric,
             &self.placed.pe_of,
             cfg,
             opts.validate,
-        )?;
-        if !opts.trace {
-            out.trace = None;
-        }
-        Ok(out)
+        )
     }
 
     /// Serialize to a bitstream (see [`nupea_pnr::bitstream`]) for caching
@@ -686,9 +528,6 @@ fn sim_config(sys: &SystemConfig, model: MemoryModel, divider_src: u32) -> SimCo
     cfg.numa_seed = sys.seed ^ 0x1234;
     cfg.max_cycles = DEFAULT_MAX_CYCLES;
     cfg.stall_window = sys.stall_window;
-    cfg.perturb = sys.perturb;
-    cfg.trace = sys.trace;
-    cfg.fault = sys.fault;
     cfg
 }
 
@@ -923,25 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_every_knob() {
-        let fabric = Fabric::monaco(4, 8, 2).unwrap();
-        let sys = SystemConfig::builder()
-            .fabric(fabric.clone())
-            .fifo_depth(16)
-            .max_outstanding(7)
-            .seed(99)
-            .effort(50)
-            .divider_override(None)
-            .build();
-        assert_eq!(sys.fifo_depth, 16);
-        assert_eq!(sys.max_outstanding, 7);
-        assert_eq!(sys.seed, 99);
-        assert_eq!(sys.effort, 50);
-        assert_eq!(sys.divider_override, None);
-        assert_eq!(sys.fabric.num_pes(), fabric.num_pes());
-    }
-
-    #[test]
     fn validate_rejects_degenerate_knobs_with_typed_errors() {
         let check = |mutate: fn(&mut SystemConfig), want: ConfigError| {
             let mut sys = SystemConfig::monaco_12x12();
@@ -1017,14 +837,10 @@ mod tests {
         assert!(out.trace.is_none());
         w.validate(&out.memory, &out.stats.sinks).unwrap();
 
-        // Raw differential run: no validation; a system override with
-        // identical knobs changes nothing, final memory included.
+        // Raw differential run: no validation changes nothing, final
+        // memory included.
         let raw = c
-            .simulate_with(
-                &SimOptions::new(MemoryModel::Nupea)
-                    .system(sys.clone())
-                    .no_validate(),
-            )
+            .simulate_with(&SimOptions::new(MemoryModel::Nupea).no_validate())
             .unwrap();
         assert_eq!(raw.stats.cycles, plain.cycles);
         assert_eq!(raw.memory, out.memory);

@@ -34,6 +34,7 @@
 //! ```
 
 use crate::experiments::heuristic_for;
+use crate::jsonl::{escape, format_f64};
 use crate::{Compiled, PipelineError, SimOptions, SystemConfig, Workload};
 use nupea_pnr::Heuristic;
 use nupea_sim::{DomainLatency, EnergyBreakdown, MemoryModel, RunStats, SimError, TraceBuffer};
@@ -344,22 +345,10 @@ impl RunnerReport {
         records_to_json(&self.records, false)
     }
 
-    /// JSON export including `compile_micros` / `sim_micros`.
-    #[must_use]
-    pub fn to_json_with_timing(&self) -> String {
-        records_to_json(&self.records, true)
-    }
-
     /// Deterministic CSV export (excludes wall-clock timing fields).
     #[must_use]
     pub fn to_csv(&self) -> String {
         records_to_csv(&self.records, false)
-    }
-
-    /// CSV export including `compile_micros` / `sim_micros`.
-    #[must_use]
-    pub fn to_csv_with_timing(&self) -> String {
-        records_to_csv(&self.records, true)
     }
 }
 
@@ -440,8 +429,9 @@ impl RetryPolicy {
     /// The capped-exponential value for attempt `attempt` starting from
     /// `base` (attempt 0 = `base` itself, attempt n = `base × factorⁿ`).
     /// All arithmetic saturates, so arbitrarily high attempt counts
-    /// plateau at `u64::MAX` instead of overflowing. Used for cycle caps
-    /// (see `simulate_point` and the fault campaign's hang re-checks).
+    /// plateau at `u64::MAX` instead of overflowing. Used for the raised
+    /// cycle caps of budget re-runs (sweep points and the fault
+    /// campaign's hang re-checks).
     #[must_use]
     pub fn backoff_cap(&self, base: u64, attempt: u32) -> u64 {
         let factor = match *self {
@@ -468,30 +458,17 @@ impl ExperimentRunner {
 
     /// Bound each point's simulation to `budget` system cycles instead of
     /// the default 2-billion-cycle runaway cap. A point that exhausts the
-    /// budget is re-run once at `budget × retry_factor` (see
-    /// [`ExperimentRunner::retry_factor`]) before being recorded as a
-    /// cycle-limit failure, so one slow outlier costs bounded wall clock
-    /// but a mis-sized budget does not silently drop results.
+    /// budget is re-run at raised caps under the
+    /// [`ExperimentRunner::retry_policy`] (by default once, at 64× the
+    /// budget) before being recorded as a cycle-limit failure, so one
+    /// slow outlier costs bounded wall clock but a mis-sized budget does
+    /// not silently drop results.
     pub fn cycle_budget(&mut self, budget: u64) -> &mut Self {
         self.cycle_budget = Some(budget);
         self
     }
 
-    /// Cap multiplier for the one-shot retry after a budget-limited run
-    /// (default 64; values `<= 1` disable the retry). Has no effect
-    /// without [`ExperimentRunner::cycle_budget`]. Shorthand for
-    /// [`ExperimentRunner::retry_policy`] with [`RetryPolicy::None`]
-    /// (`factor <= 1`) or [`RetryPolicy::OneShot`].
-    pub fn retry_factor(&mut self, factor: u64) -> &mut Self {
-        self.retry = if factor <= 1 {
-            RetryPolicy::None
-        } else {
-            RetryPolicy::OneShot { factor }
-        };
-        self
-    }
-
-    /// Full retry policy for budget-limited points (see [`RetryPolicy`];
+    /// Retry policy for budget-limited points (see [`RetryPolicy`];
     /// default [`RetryPolicy::OneShot`] with factor 64). Has no effect
     /// without [`ExperimentRunner::cycle_budget`].
     pub fn retry_policy(&mut self, policy: RetryPolicy) -> &mut Self {
@@ -801,17 +778,30 @@ fn simulate_point(
     retry: RetryPolicy,
     want_trace: bool,
 ) -> (SimResult, bool) {
-    let base = budget.unwrap_or(crate::DEFAULT_MAX_CYCLES);
-    let mut out = catch_sim(c, model, base, want_trace);
-    if budget.is_none() {
-        return (out, false);
-    }
+    let (base, retry) = match budget {
+        Some(budget) => (budget, retry),
+        None => (crate::DEFAULT_MAX_CYCLES, RetryPolicy::None),
+    };
+    rerun_on_cycle_limit(base, retry, |cap| catch_sim(c, model, cap, want_trace))
+}
+
+/// Run `attempt` at cycle cap `base`, then re-run it at the raised caps
+/// of `policy` ([`RetryPolicy::backoff_cap`]) for as long as it hits the
+/// cycle limit. Returns the last outcome and whether any re-run happened.
+/// The one budget-retry rule, shared by sweep points and the fault
+/// campaign's hang re-checks.
+pub(crate) fn rerun_on_cycle_limit<T>(
+    base: u64,
+    policy: RetryPolicy,
+    mut attempt: impl FnMut(u64) -> Result<T, PipelineError>,
+) -> (Result<T, PipelineError>, bool) {
+    let mut out = attempt(base);
     let mut retried = false;
-    for attempt in 1..=retry.max_retries() {
+    for n in 1..=policy.max_retries() {
         if !matches!(out, Err(PipelineError::Sim(SimError::CycleLimit { .. }))) {
             break;
         }
-        out = catch_sim(c, model, retry.backoff_cap(base, attempt), want_trace);
+        out = attempt(policy.backoff_cap(base, n));
         retried = true;
     }
     (out, retried)
@@ -875,20 +865,6 @@ fn catch_sim(c: &Compiled, model: MemoryModel, cap: u64, want_trace: bool) -> Si
     })
 }
 
-/// Escape a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
-    crate::jsonl::escape(s)
-}
-
-/// Format an `f64` as a JSON number (`null` for non-finite values).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serialize records to a JSON array (one object per record), hand-rolled
 /// so the workspace stays dependency-free. With `timing` false the
 /// wall-clock fields are omitted and the output is deterministic.
@@ -909,7 +885,7 @@ pub fn records_to_json(records: &[RunRecord], timing: bool) -> String {
         let error = r
             .error
             .as_ref()
-            .map_or_else(|| "null".to_string(), |e| format!("\"{}\"", json_escape(e)));
+            .map_or_else(|| "null".to_string(), |e| format!("\"{}\"", escape(e)));
         out.push_str(&format!(
             "  {{\"workload\":\"{}\",\"par\":{},\"heuristic\":\"{}\",\"model\":\"{}\",\
              \"cycles\":{},\"fabric_cycles\":{},\"divider\":{},\"firings\":{},\
@@ -919,7 +895,7 @@ pub fn records_to_json(records: &[RunRecord], timing: bool) -> String {
              \"mean_pe_utilization\":{},\"peak_link_tokens\":{},\
              \"energy\":{{\"alu\":{},\"control\":{},\"mem_issue\":{},\"noc\":{},\
              \"fmnoc\":{},\"memory\":{},\"total\":{}}},\"compile_cached\":{}",
-            json_escape(&r.workload),
+            escape(&r.workload),
             r.par,
             r.heuristic,
             r.model.label(),
@@ -927,30 +903,30 @@ pub fn records_to_json(records: &[RunRecord], timing: bool) -> String {
             r.fabric_cycles,
             r.divider,
             r.firings,
-            json_f64(r.mean_load_latency),
+            format_f64(r.mean_load_latency),
             domains.join(","),
-            json_f64(r.cache_hit_rate),
+            format_f64(r.cache_hit_rate),
             r.mem_requests,
             r.arbiter_forwards,
             r.bank_wait_cycles,
             r.residual_tokens,
             r.active_pes,
-            json_f64(r.mean_pe_utilization),
+            format_f64(r.mean_pe_utilization),
             r.peak_link_tokens,
-            json_f64(r.energy.alu),
-            json_f64(r.energy.control),
-            json_f64(r.energy.mem_issue),
-            json_f64(r.energy.noc),
-            json_f64(r.energy.fmnoc),
-            json_f64(r.energy.memory),
-            json_f64(r.energy.total()),
+            format_f64(r.energy.alu),
+            format_f64(r.energy.control),
+            format_f64(r.energy.mem_issue),
+            format_f64(r.energy.noc),
+            format_f64(r.energy.fmnoc),
+            format_f64(r.energy.memory),
+            format_f64(r.energy.total()),
             r.compile_cached,
         ));
         out.push_str(&format!(",\"retried\":{}", r.retried));
         let trace_path = r
             .trace_path
             .as_ref()
-            .map_or_else(|| "null".to_string(), |p| format!("\"{}\"", json_escape(p)));
+            .map_or_else(|| "null".to_string(), |p| format!("\"{}\"", escape(p)));
         out.push_str(&format!(",\"trace_path\":{trace_path}"));
         if timing {
             out.push_str(&format!(
@@ -1014,22 +990,22 @@ pub fn records_to_csv(records: &[RunRecord], timing: bool) -> String {
             r.fabric_cycles,
             r.divider,
             r.firings,
-            json_f64(r.mean_load_latency),
-            json_f64(r.cache_hit_rate),
+            format_f64(r.mean_load_latency),
+            format_f64(r.cache_hit_rate),
             r.mem_requests,
             r.arbiter_forwards,
             r.bank_wait_cycles,
             r.residual_tokens,
             r.active_pes,
-            json_f64(r.mean_pe_utilization),
+            format_f64(r.mean_pe_utilization),
             r.peak_link_tokens,
-            json_f64(r.energy.alu),
-            json_f64(r.energy.control),
-            json_f64(r.energy.mem_issue),
-            json_f64(r.energy.noc),
-            json_f64(r.energy.fmnoc),
-            json_f64(r.energy.memory),
-            json_f64(r.energy.total()),
+            format_f64(r.energy.alu),
+            format_f64(r.energy.control),
+            format_f64(r.energy.mem_issue),
+            format_f64(r.energy.noc),
+            format_f64(r.energy.fmnoc),
+            format_f64(r.energy.memory),
+            format_f64(r.energy.total()),
             csv_cell(&domains.join("|")),
             r.compile_cached,
         ));
@@ -1137,15 +1113,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_factor_shim_maps_onto_retry_policy() {
+    fn retry_policy_defaults_to_one_shot_and_is_settable() {
         let mut runner = ExperimentRunner::new();
         assert_eq!(runner.retry, RetryPolicy::OneShot { factor: 64 });
-        runner.retry_factor(1);
-        assert_eq!(runner.retry, RetryPolicy::None, "factor <= 1 never retries");
-        runner.retry_factor(0);
-        assert_eq!(runner.retry, RetryPolicy::None);
-        runner.retry_factor(8);
-        assert_eq!(runner.retry, RetryPolicy::OneShot { factor: 8 });
         runner.retry_policy(RetryPolicy::Backoff {
             factor: 4,
             max_retries: 3,
@@ -1413,12 +1383,6 @@ mod tests {
             records_to_json(&[rec], false),
             records_to_json(&[batch], false)
         );
-    }
-
-    #[test]
-    fn json_escapes_control_and_quote_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

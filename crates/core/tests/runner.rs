@@ -4,7 +4,7 @@
 
 use nupea::experiments::primary_models;
 use nupea::runner::ExperimentRunner;
-use nupea::{Fabric, Heuristic, MemoryModel, Scale, SystemConfig};
+use nupea::{Fabric, Heuristic, MemoryModel, RetryPolicy, Scale, SystemConfig};
 use nupea_kernels::workloads::workload_by_name;
 
 fn declare_small_sweep(runner: &mut ExperimentRunner) {
@@ -79,11 +79,9 @@ fn model_sweep_compiles_once_per_heuristic() {
 fn failed_points_produce_error_records_and_do_not_abort() {
     let mut runner = ExperimentRunner::new();
     // An 8-PE fabric: far too small for spmv, so PnR must fail...
-    let tiny = runner.system(
-        SystemConfig::builder()
-            .fabric(Fabric::monaco(2, 4, 3).expect("valid tiny fabric"))
-            .build(),
-    );
+    let tiny = runner.system(SystemConfig::with_fabric(
+        Fabric::monaco(2, 4, 3).expect("valid tiny fabric"),
+    ));
     // ...while the same workload still succeeds on the full fabric.
     let full = runner.system(SystemConfig::monaco_12x12());
     let w = runner.workload(workload_by_name("spmv").unwrap().build_default(Scale::Test));
@@ -205,7 +203,7 @@ fn panicking_point_is_isolated_to_one_error_record() {
 }
 
 /// A per-point cycle budget that is too small fails the first attempt,
-/// and the one-shot retry at `budget * retry_factor` rescues the point,
+/// and the one-shot retry at `budget * factor` rescues the point,
 /// marking the record `retried`. With retry disabled the same budget is a
 /// hard `cycle-limit` failure.
 #[test]
@@ -217,7 +215,9 @@ fn cycle_budget_retry_rescues_slow_points() {
     };
 
     let mut with_retry = ExperimentRunner::new();
-    with_retry.cycle_budget(100).retry_factor(1_000_000);
+    with_retry
+        .cycle_budget(100)
+        .retry_policy(RetryPolicy::OneShot { factor: 1_000_000 });
     declare(&mut with_retry);
     let report = with_retry.run();
     let r = &report.records[0];
@@ -226,7 +226,7 @@ fn cycle_budget_retry_rescues_slow_points() {
     assert!(r.cycles > 100, "spmv cannot fit in 100 cycles");
 
     let mut no_retry = ExperimentRunner::new();
-    no_retry.cycle_budget(100).retry_factor(1);
+    no_retry.cycle_budget(100).retry_policy(RetryPolicy::None);
     declare(&mut no_retry);
     let report = no_retry.run();
     let r = &report.records[0];
@@ -247,7 +247,8 @@ fn cycle_budget_retry_rescues_slow_points() {
 /// engine.
 #[test]
 fn invalid_config_becomes_typed_error_record() {
-    let sys = SystemConfig::builder().fifo_depth(0).build();
+    let mut sys = SystemConfig::monaco_12x12();
+    sys.fifo_depth = 0;
     assert!(matches!(
         sys.validate(),
         Err(nupea::PipelineError::InvalidConfig(

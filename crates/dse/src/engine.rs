@@ -7,7 +7,7 @@ use crate::pareto::{FrontierPoint, ParetoFrontier, Score};
 use crate::space::{config_hash, Candidate, SearchSpace};
 use crate::strategy::{Evaluation, GridSearch, SearchStrategy};
 use nupea::shard::ShardJob;
-use nupea::{ExperimentRunner, RunRecord, SystemHandle, Workload};
+use nupea::{ExperimentRunner, RetryPolicy, RunRecord, SystemHandle, Workload};
 use nupea_sim::MemoryModel;
 use std::collections::HashMap;
 use std::io;
@@ -435,7 +435,7 @@ impl DseEngine {
             if let Budget::Capped(b) = budget {
                 // Strict rung budget: exhausting it is elimination, so the
                 // runner's one-shot retry is disabled here.
-                runner.cycle_budget(*b).retry_factor(1);
+                runner.cycle_budget(*b).retry_policy(RetryPolicy::None);
             }
             let whandles: Vec<_> = self
                 .workloads

@@ -786,11 +786,6 @@ impl Kernel {
         out
     }
 
-    /// Named parameters declared by the kernel.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.named.keys().map(String::as_str).collect()
-    }
-
     /// The loads classified critical by [`crate::criticality`] — the
     /// nodes NUPEA promotes toward near domains, and the first rows to
     /// inspect in a trace (their fire slices carry the `critical`

@@ -65,15 +65,6 @@ impl Response {
         }
     }
 
-    /// A 429 with a `Retry-After` hint in seconds.
-    #[must_use]
-    pub fn too_busy(retry_after_secs: u64) -> Self {
-        let mut r = Response::error(429, "simulation queue full");
-        r.headers
-            .push(("Retry-After", retry_after_secs.to_string()));
-        r
-    }
-
     /// A tier-tagged 429: either a refusal at the door (the queue is
     /// full and nothing lower-tier could be shed) or a queued job
     /// evicted by a higher-tier arrival (`shed` true). Always carries
@@ -355,7 +346,7 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n\r\n{\"ok\":true}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, &Response::too_busy(2), false).unwrap();
+        write_response(&mut out, &Response::tier_busy("normal", false, 2), false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
@@ -368,7 +359,6 @@ mod tests {
         // Every 429 constructor yields a parseable Retry-After >= 1,
         // even when the caller computes a zero hint.
         for resp in [
-            Response::too_busy(1),
             Response::tier_busy("batch", true, 0),
             Response::tier_busy("normal", false, 3),
         ] {

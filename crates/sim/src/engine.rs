@@ -23,9 +23,7 @@ use crate::fault::{FaultConfig, FaultState, LinkFault, STUCK_DELAY};
 use crate::memory::{MemParams, SimMemory};
 use crate::memsys::{Completion, MemRequest, MemSys, MemSysStats, MemoryModel};
 use crate::perturb::{Perturb, PerturbConfig};
-use crate::trace::{
-    RingRecorder, TraceBuffer, TraceConfig, TraceEvent, TraceMeta, Tracer, NO_DOMAIN,
-};
+use crate::trace::{RingRecorder, TraceBuffer, TraceConfig, TraceEvent, TraceMeta, NO_DOMAIN};
 use crate::watchdog::{PortOccupancy, StallKind, StallReport, StalledNode};
 use nupea_fabric::{Fabric, PeId};
 use nupea_ir::graph::{Criticality, Dfg, InPort, NodeId};

@@ -69,8 +69,8 @@ pub use memory::{Cache, MemParams, SimMemory};
 pub use memsys::{Completion, MemRequest, MemSys, MemSysStats, MemoryModel};
 pub use perturb::PerturbConfig;
 pub use trace::{
-    validate_chrome_trace, ChromeTraceSummary, NullTracer, RingRecorder, TraceBuffer, TraceConfig,
-    TraceEvent, TraceMeta, Tracer,
+    validate_chrome_trace, ChromeTraceSummary, RingRecorder, TraceBuffer, TraceConfig, TraceEvent,
+    TraceMeta,
 };
 pub use watchdog::{PortOccupancy, StallKind, StallReport, StalledNode};
 

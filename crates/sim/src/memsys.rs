@@ -767,12 +767,6 @@ impl MemSys {
         });
     }
 
-    /// Drain completions accumulated so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        self.sync_cache_stats();
-        std::mem::take(&mut self.done)
-    }
-
     /// Drain completions into `out` (cleared first), swapping buffers so
     /// both sides keep their capacity — the engine's per-batch drain
     /// allocates nothing in steady state.
@@ -840,8 +834,8 @@ impl MemSys {
     /// Mirror the cache's hit/miss counters into the stats block. The
     /// [`Cache`] counters are the single source of truth; this snapshot
     /// exists so `MemSysStats` is self-contained once exported. Called
-    /// automatically by [`MemSys::drain_completions`], so the stats block
-    /// is never stale by more than one in-flight batch.
+    /// automatically by [`MemSys::drain_completions_into`], so the stats
+    /// block is never stale by more than one in-flight batch.
     pub fn sync_cache_stats(&mut self) {
         self.stats.cache_hits = self.cache.hits;
         self.stats.cache_misses = self.cache.misses;
@@ -857,11 +851,12 @@ mod tests {
     }
 
     fn run_until_complete(ms: &mut MemSys, mem: &mut SimMemory, start: u64) -> Vec<Completion> {
-        let mut out = Vec::new();
+        let (mut out, mut batch) = (Vec::new(), Vec::new());
         let mut t = start;
         while ms.busy() {
             ms.step(t, mem);
-            out.extend(ms.drain_completions());
+            ms.drain_completions_into(&mut batch);
+            out.append(&mut batch);
             t += 1;
             assert!(t < start + 10_000, "memory system livelock");
         }

@@ -58,15 +58,6 @@ impl TraceConfig {
             capacity: 1 << 20,
         }
     }
-
-    /// Tracing enabled with an explicit ring capacity.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: capacity.max(1),
-        }
-    }
 }
 
 impl Default for TraceConfig {
@@ -160,26 +151,9 @@ pub enum TraceEvent {
     },
 }
 
-/// A sink for trace events. The engine drives an implementation of this
-/// trait at every instrumented point; [`RingRecorder`] is the standard
-/// bounded recorder and [`NullTracer`] discards everything (useful for
-/// overhead measurements and as the explicit "off" object).
-pub trait Tracer {
-    /// Record `ev` at system-cycle `ts`.
-    fn record(&mut self, ts: u64, ev: TraceEvent);
-}
-
-/// A tracer that discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    #[inline]
-    fn record(&mut self, _ts: u64, _ev: TraceEvent) {}
-}
-
 /// Bounded ring-buffered recorder: keeps the most recent `capacity`
-/// events, dropping the oldest on overflow.
+/// events, dropping the oldest on overflow. The engine drives it at every
+/// instrumented point.
 #[derive(Debug, Clone)]
 pub struct RingRecorder {
     buf: VecDeque<(u64, TraceEvent)>,
@@ -199,6 +173,17 @@ impl RingRecorder {
             dropped: 0,
             total: 0,
         }
+    }
+
+    /// Record `ev` at system-cycle `ts`.
+    #[inline]
+    pub fn record(&mut self, ts: u64, ev: TraceEvent) {
+        self.total += 1;
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back((ts, ev));
     }
 
     /// Events currently buffered.
@@ -228,18 +213,6 @@ impl RingRecorder {
             dropped: self.dropped,
             total: self.total,
         }
-    }
-}
-
-impl Tracer for RingRecorder {
-    #[inline]
-    fn record(&mut self, ts: u64, ev: TraceEvent) {
-        self.total += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back((ts, ev));
     }
 }
 
@@ -1027,13 +1000,5 @@ mod tests {
         let ok = "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":2,\
                   \"pid\":0,\"tid\":3}]}";
         assert_eq!(validate_chrome_trace(ok).unwrap().complete, 1);
-    }
-
-    #[test]
-    fn null_tracer_discards_everything() {
-        let mut t = NullTracer;
-        t.record(1, TraceEvent::Fire { node: 0 });
-        // Nothing observable: NullTracer has no state. This test exists to
-        // keep the trait object path exercised.
     }
 }

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // 4. Compile with effcc's criticality-aware place-and-route.
-    let sys = SystemConfig::builder().build();
+    let sys = SystemConfig::monaco_12x12();
     let compiled = sys.compile(&workload, Heuristic::CriticalityAware)?;
     println!(
         "pnr: max routed path {} hops, clock divider {}",

@@ -24,10 +24,8 @@ fn main() {
                     continue;
                 };
                 let ls = fabric.num_ls_pes();
-                let sys = SystemConfig::builder()
-                    .fabric(fabric)
-                    .divider_override(None)
-                    .build();
+                let mut sys = SystemConfig::with_fabric(fabric);
+                sys.divider_override = None;
                 let spec = WorkloadSpec {
                     name: "spmspv",
                     build: |_, par| sparse::spmspv_custom(96, 0.9, par),
